@@ -39,6 +39,7 @@
 use dfhts::job::{JobError, JobOutput, JobSpec, JobTiming, TaskClass};
 use dfhts::scheduler::{run_campaign_with, CampaignReport, LaneStats, SchedulerConfig};
 use dfhts::simulate::{simulate_campaign, CampaignSim};
+use dftensor::hash::{FNV_OFFSET, FNV_PRIME};
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -81,10 +82,10 @@ fn mixed_specs(num_jobs: u64, compounds_per_job: u64, seed: u64) -> Vec<JobSpec>
 
 /// Deterministic FNV-1a spin: the scripted job "work".
 fn spin(iters: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for i in 0..iters {
         h ^= i;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }

@@ -32,6 +32,7 @@
 use dfchem::genmol::Library;
 use dfchem::screen::{screen_library_with, FunnelStats, RankedCompound, ScreenConfig};
 use dfpool::Pool;
+use dftensor::hash::{fnv1a64_update, FNV_OFFSET};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -78,28 +79,20 @@ struct ChemBench {
     runs: Vec<LaneRun>,
 }
 
-/// FNV-1a 64-bit fold.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// One full streaming screen on the current pool: returns the funnel, the
 /// tally, a digest over every surviving record, and the running top-k.
 fn run_screen(
     cfg: &ScreenConfig,
 ) -> (FunnelStats, dfchem::RejectionTally, u64, Vec<RankedCompound>) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut top: Vec<RankedCompound> = Vec::new();
     let (funnel, tally) = screen_library_with(cfg, |r| {
-        fnv(&mut digest, &r.index.to_le_bytes());
-        fnv(&mut digest, &r.verdict.violations.to_le_bytes());
+        digest = fnv1a64_update(digest, &r.index.to_le_bytes());
+        digest = fnv1a64_update(digest, &r.verdict.violations.to_le_bytes());
         for w in r.fingerprint.words() {
-            fnv(&mut digest, &w.to_le_bytes());
+            digest = fnv1a64_update(digest, &w.to_le_bytes());
         }
-        fnv(&mut digest, &r.score.to_bits().to_le_bytes());
+        digest = fnv1a64_update(digest, &r.score.to_bits().to_le_bytes());
         top.push(RankedCompound { index: r.index, score: r.score });
         if top.len() >= cfg.top_k * 2 {
             rank_truncate(&mut top, cfg.top_k);

@@ -22,12 +22,8 @@
 
 use crate::element::Element;
 use crate::mol::Molecule;
+use dftensor::hash::{FNV_OFFSET, FNV_PRIME};
 use serde::{Deserialize, Serialize};
-
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds one `u64` into an FNV-1a running hash, byte by byte.
 fn fnv_mix(mut h: u64, v: u64) -> u64 {

@@ -62,9 +62,10 @@ use dfchem::genmol::{CompoundId, Library};
 use dfchem::pocket::TargetSite;
 use dfchem::screen::RankedCompound;
 use dfsurrogate::{
-    featurize_compound, snapshot_hash, train, LabeledExample, SurrogateConfig, SurrogateRegistry,
-    TrainConfig, TrainReport,
+    featurize_compound, snapshot_hash, train, LabeledExample, SurrogateConfig, SurrogateMlp,
+    SurrogateRegistry, TrainConfig, TrainReport,
 };
+use dftensor::hash::fnv1a64;
 use dftensor::rng::derive_seed;
 use std::path::Path;
 use std::time::Duration;
@@ -201,16 +202,6 @@ pub enum AbortPoint {
     },
 }
 
-/// FNV-1a 64-bit over a byte stream (digesting rankings).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Digest of a ranking: FNV-1a over each entry's index and exact score
 /// bits, in rank order.
 pub fn ranking_digest(ranking: &[RankedCompound]) -> u64 {
@@ -268,6 +259,8 @@ pub fn run_active_campaign_aborting(
     };
 
     let registry = SurrogateRegistry::new(cfg.surrogate.clone());
+    // The MLP structure is fixed per campaign; only its weights change.
+    let (model, _) = cfg.surrogate.build();
     let mut labeled: Vec<LabeledExample> = Vec::new();
     let mut docked_all: Vec<u64> = Vec::new();
     let mut true_label: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
@@ -279,7 +272,7 @@ pub fn run_active_campaign_aborting(
         // 1. Surrogate pass over the whole library under the published
         //    generation (epoch 0 ranks with the untrained init — that is
         //    the cold-start baseline active learning improves on).
-        let (preds, lane) = surrogate_pass(cfg, &registry, epoch * EPOCH_STRIDE);
+        let (preds, lane) = surrogate_pass(cfg, &model, &registry, epoch * EPOCH_STRIDE);
         surrogate_dispatches += lane.0;
         surrogate_bundled_jobs += lane.1;
 
@@ -363,7 +356,7 @@ pub fn run_active_campaign_aborting(
         dftrace::gauge_set("hts.active.pool", labeled.len() as f64);
 
         // 5. Retrain from scratch on the cumulative pool, then hot-swap.
-        let (model, mut ps) = cfg.surrogate.build();
+        let (_, mut ps) = cfg.surrogate.build();
         let tcfg = TrainConfig { seed: derive_seed(cfg.train.seed, epoch), ..cfg.train.clone() };
         let train_report = train(&model, &mut ps, &tcfg, &labeled);
         let snap = ps.snapshot();
@@ -419,7 +412,7 @@ pub fn run_active_campaign_aborting(
 
     // Final re-rank under the last published generation: true scores for
     // docked compounds, predictions for the rest.
-    let (preds, lane) = surrogate_pass(cfg, &registry, cfg.epochs * EPOCH_STRIDE);
+    let (preds, lane) = surrogate_pass(cfg, &model, &registry, cfg.epochs * EPOCH_STRIDE);
     surrogate_dispatches += lane.0;
     surrogate_bundled_jobs += lane.1;
     let mut ranking: Vec<RankedCompound> = (0..cfg.num_compounds)
@@ -452,12 +445,12 @@ pub fn run_active_campaign_aborting(
 /// surrogate lane's `(dispatches, bundled_jobs)` for the pass.
 fn surrogate_pass(
     cfg: &ActiveLearningConfig,
+    model: &SurrogateMlp,
     registry: &SurrogateRegistry,
     first_job_id: u64,
 ) -> (Vec<f64>, (u64, u64)) {
     let _span = dftrace::span("hts.active.surrogate_pass");
     let live = registry.current();
-    let model = registry.model();
     let per_job = cfg.compounds_per_surrogate_job.max(1);
     let specs: Vec<JobSpec> = (0..cfg.num_compounds.div_ceil(per_job))
         .map(|j| JobSpec {

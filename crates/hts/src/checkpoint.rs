@@ -43,6 +43,7 @@
 
 use crate::h5lite::{read_file, H5Error, ScoreRecord};
 use crate::job::{JobConfig, JobOutput, JobSpec, JobTiming};
+use dftensor::hash::fnv1a64;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -154,17 +155,6 @@ impl ManifestEntry {
             ManifestEntry::Epoch { .. } => None,
         }
     }
-}
-
-/// FNV-1a 64-bit, the frame checksum. Not cryptographic — it only needs
-/// to catch torn writes and bit rot.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A manifest parsed back from disk.

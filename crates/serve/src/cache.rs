@@ -1,6 +1,6 @@
 //! Content-addressed LRU cache with hit/miss/eviction accounting.
 //!
-//! Keys are fnv1a64 digests of **canonical featurization bytes** (see
+//! Keys are `dftensor::hash::fnv1a64` digests of **canonical featurization bytes** (see
 //! `MolGraph::canonical_bytes` and the voxel-bit hashing in the service),
 //! so two requests share a cache line exactly when the model would see
 //! identical inputs — renamed compounds, re-materialized molecules and
@@ -14,20 +14,6 @@
 //! locked by `tests/cache_proptests.rs` against a reference model.
 
 use std::collections::HashMap;
-
-/// fnv1a64 over a byte slice — the cache's content-address digest.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_update(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an fnv1a64 digest over more bytes (for multi-part keys).
-pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Monotonic cache accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -214,16 +200,6 @@ impl<V> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Update-continuation equals one-shot hashing.
-        assert_eq!(fnv1a64_update(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
-    }
 
     #[test]
     fn hit_bumps_recency_and_counts() {

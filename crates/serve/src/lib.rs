@@ -57,7 +57,8 @@ pub mod sim;
 
 pub use admission::{AdmissionController, Decision, LadderConfig};
 pub use batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
-pub use cache::{fnv1a64, fnv1a64_update, CacheStats, LruCache};
+pub use cache::{CacheStats, LruCache};
+pub use dftensor::hash::{fnv1a64, fnv1a64_update};
 pub use fleet::{Fleet, FleetConfig, FleetOutcome, FleetStats};
 pub use registry::{Generation, ModelSpec, SnapshotRegistry};
 pub use request::{ScoreRequest, ScoreResponse, SubmitOutcome, Ticks, Tier, TICKS_PER_SEC};

@@ -1,23 +1,18 @@
-//! Model-snapshot registry with hot-swap generations.
+//! The serving model's architecture spec and its hot-swap registry.
 //!
-//! The registry owns the **weights** of the serving model as an immutable
-//! [`ParamStore`] behind an `Arc`, stamped with a monotonically increasing
-//! generation number. Publishing a new snapshot (from a training run's
-//! `ParamSnapshot`, a binary `DFWT` buffer, or a file) validates it
-//! against the model architecture and swaps the `Arc` — in-flight batches
-//! keep scoring against the generation they started with, later batches
-//! pick up the new one, and nothing is ever mutated in place. Score-cache
-//! keys mix the generation in, so a swap naturally invalidates stale
+//! [`SnapshotRegistry`] is `dftensor`'s generation-stamped [`HotSwap`]
+//! store instantiated for the fusion model: a publish validates against
+//! [`ModelSpec`], in-flight batches keep the generation they started with,
+//! and score-cache keys mix the generation in, so a swap invalidates stale
 //! scores by missing instead of requiring a flush.
 
 use dfchem::featurize::{GraphConfig, VoxelConfig};
 use dffusion::config::{Cnn3dConfig, FusionConfig, FusionKind, SgCnnConfig};
 use dffusion::FusionModel;
-use dftensor::params::{ParamSnapshot, ParamStore};
-use dftensor::serialize::decode_snapshot;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use dftensor::params::ParamStore;
+use dftensor::{Architecture, HotSwap};
+
+pub use dftensor::Generation;
 
 /// Everything needed to (re)build the serving model architecture and its
 /// featurization, so a snapshot can be validated before it goes live.
@@ -82,116 +77,15 @@ impl ModelSpec {
     }
 }
 
-/// One immutable published weight set.
-#[derive(Debug, Clone)]
-pub struct Generation {
-    /// Monotonic generation number (0 = the spec's initial weights).
-    pub generation: u64,
-    /// The weights themselves.
-    pub params: Arc<ParamStore>,
-}
+impl Architecture for ModelSpec {
+    const SWAP_COUNTER: &'static str = "serve.registry.swaps";
 
-/// The hot-swap registry. Cheap to share (`Arc<SnapshotRegistry>`):
-/// producers publish from any thread while the serving loop reads.
-#[derive(Debug)]
-pub struct SnapshotRegistry {
-    spec: ModelSpec,
-    current: Mutex<Generation>,
-    next_gen: AtomicU64,
-}
-
-impl SnapshotRegistry {
-    /// Builds the registry; generation 0 is the spec's initial weights.
-    pub fn new(spec: ModelSpec) -> SnapshotRegistry {
-        let (_, ps) = spec.build();
-        SnapshotRegistry {
-            spec,
-            current: Mutex::new(Generation { generation: 0, params: Arc::new(ps) }),
-            next_gen: AtomicU64::new(1),
-        }
-    }
-
-    /// The architecture this registry validates snapshots against.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
-    /// The live generation (clone of the `Arc`, not the weights).
-    pub fn current(&self) -> Generation {
-        self.current.lock().clone()
-    }
-
-    /// Validates `snap` against the model architecture (names, shapes,
-    /// order) and swaps it in as the next generation. Returns the new
-    /// generation number.
-    pub fn publish(&self, snap: &ParamSnapshot) -> Result<u64, String> {
-        // Restore into a freshly-built store: exactly the mismatch checks
-        // ParamStore::restore performs, against the real architecture.
-        let (_, mut staged) = self.spec.build();
-        staged.restore(snap)?;
-        let generation = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        *self.current.lock() = Generation { generation, params: Arc::new(staged) };
-        dftrace::counter_add("serve.registry.swaps", 1);
-        Ok(generation)
-    }
-
-    /// Publishes from a binary `DFWT` snapshot buffer.
-    pub fn publish_bytes(&self, bytes: &[u8]) -> Result<u64, String> {
-        let snap = decode_snapshot(bytes).map_err(|e| e.to_string())?;
-        self.publish(&snap)
-    }
-
-    /// Publishes from a `DFWT` snapshot file on disk.
-    pub fn publish_file(&self, path: impl AsRef<std::path::Path>) -> Result<u64, String> {
-        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-        self.publish_bytes(&bytes)
+    fn fresh_params(&self) -> ParamStore {
+        self.build().1
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dftensor::serialize::encode_snapshot;
-
-    #[test]
-    fn generation_zero_serves_initial_weights() {
-        let reg = SnapshotRegistry::new(ModelSpec::tiny(3));
-        let g = reg.current();
-        assert_eq!(g.generation, 0);
-        let (_, fresh) = reg.spec().build();
-        assert_eq!(g.params.num_scalars(), fresh.num_scalars());
-    }
-
-    #[test]
-    fn publish_swaps_and_bumps_generation() {
-        let reg = SnapshotRegistry::new(ModelSpec::tiny(3));
-        let (_, mut ps) = reg.spec().build();
-        // Perturb one weight so the swap is observable.
-        let id = ps.iter().next().expect("model has parameters").0;
-        ps.value_mut(id).map_inplace(|w| w + 1.0);
-        let snap = ps.snapshot();
-        assert_eq!(reg.publish(&snap).expect("valid snapshot"), 1);
-        let live = reg.current();
-        assert_eq!(live.generation, 1);
-        assert_eq!(
-            live.params.value(id).data()[0].to_bits(),
-            ps.value(id).data()[0].to_bits(),
-            "published weights must be served bit-exactly"
-        );
-        // The binary round trip publishes generation 2 with identical bits.
-        assert_eq!(reg.publish_bytes(&encode_snapshot(&snap)).expect("dfwt"), 2);
-        assert_eq!(
-            reg.current().params.value(id).data()[0].to_bits(),
-            ps.value(id).data()[0].to_bits()
-        );
-    }
-
-    #[test]
-    fn mismatched_snapshot_is_rejected_and_keeps_current() {
-        let reg = SnapshotRegistry::new(ModelSpec::tiny(3));
-        let mut other = ParamStore::new();
-        other.add("rogue", dftensor::Tensor::zeros(&[2]));
-        assert!(reg.publish(&other.snapshot()).is_err());
-        assert_eq!(reg.current().generation, 0, "failed publish must not swap");
-    }
-}
+/// The fusion model's hot-swap registry. Cheap to share
+/// (`Arc<SnapshotRegistry>`): producers publish from any thread while the
+/// serving loop reads.
+pub type SnapshotRegistry = HotSwap<ModelSpec>;

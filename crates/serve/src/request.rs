@@ -105,7 +105,7 @@ impl ScoreResponse {
 #[derive(Debug, Clone)]
 pub enum SubmitOutcome {
     /// Answered immediately: a score-cache hit, or one of the inline
-    /// tiers (Vina, ligand-only).
+    /// tiers (surrogate, Vina, ligand-only).
     Completed(ScoreResponse),
     /// Queued into a micro-batch at the given tier; the response surfaces
     /// from a later [`crate::ScoreService::advance`].

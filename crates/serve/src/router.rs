@@ -28,8 +28,8 @@
 //! fed to the existing degradation ladder, so the shard degrades to
 //! cheaper tiers **before** it ever reaches the shed bound.
 
-use crate::cache::fnv1a64;
 use dfchem::genmol::CompoundId;
+use dftensor::hash::fnv1a64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 

@@ -24,14 +24,15 @@
 
 use crate::admission::{AdmissionController, Decision, LadderConfig};
 use crate::batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
-use crate::cache::{fnv1a64, fnv1a64_update, CacheStats, LruCache};
-use crate::registry::{ModelSpec, SnapshotRegistry};
+use crate::cache::{CacheStats, LruCache};
+use crate::registry::{Generation, ModelSpec, SnapshotRegistry};
 use crate::request::{ScoreRequest, ScoreResponse, SubmitOutcome, Ticks, Tier};
 use dfchem::featurize::{build_graph, voxelize, MolGraph};
 use dfchem::genmol::Compound;
 use dfchem::pocket::{BindingPocket, TargetSite};
 use dffusion::{score_batch_fusion, score_batch_sg_head, FusionModel};
-use dfsurrogate::{SurrogateConfig, SurrogateRegistry};
+use dfsurrogate::{SurrogateConfig, SurrogateMlp, SurrogateRegistry};
+use dftensor::hash::{fnv1a64, fnv1a64_update};
 use dftensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -184,6 +185,8 @@ pub struct ScoreService {
     /// is mixed into the surrogate score-cache keys).
     surrogate: Arc<SurrogateRegistry>,
     model: FusionModel,
+    /// Structure the surrogate registry's weights plug into.
+    surrogate_model: SurrogateMlp,
     admission: AdmissionController,
     full_lane: MicroBatcher<QueuedItem>,
     sg_lane: MicroBatcher<QueuedItem>,
@@ -196,16 +199,10 @@ pub struct ScoreService {
     now: Ticks,
     busy_until: Ticks,
     inflight: VecDeque<Inflight>,
-    /// Completion ticks of Vina evaluations still occupying the fallback
-    /// band (responses were already returned inline; these only hold
-    /// queue depth until they retire).
-    vina_inflight: VecDeque<Ticks>,
-    /// Completion ticks of surrogate evaluations still occupying their
-    /// ladder band, same retirement rule as `vina_inflight`.
-    surrogate_inflight: VecDeque<Ticks>,
-    /// Completion ticks of ligand-only evaluations still occupying the
-    /// deepest non-shed band, same retirement rule as `vina_inflight`.
-    ligand_inflight: VecDeque<Ticks>,
+    /// Per [`INLINE_TIERS`] row: completion ticks of evaluations still
+    /// occupying that tier's ladder band (responses were already returned
+    /// inline; these only hold queue depth until they retire).
+    inline_inflight: [VecDeque<Ticks>; INLINE_TIERS.len()],
     ready: VecDeque<ScoreResponse>,
     last_generation: u64,
     stats: ServiceStats,
@@ -229,7 +226,8 @@ impl ScoreService {
         registry: Arc<SnapshotRegistry>,
         surrogate: Arc<SurrogateRegistry>,
     ) -> ScoreService {
-        let (model, _) = registry.spec().build();
+        let (model, _) = registry.arch().build();
+        let (surrogate_model, _) = surrogate.arch().build();
         let pockets = TargetSite::ALL
             .iter()
             .map(|&t| BindingPocket::generate(t, cfg.campaign_seed))
@@ -245,13 +243,12 @@ impl ScoreService {
             now: 0,
             busy_until: 0,
             inflight: VecDeque::new(),
-            vina_inflight: VecDeque::new(),
-            surrogate_inflight: VecDeque::new(),
-            ligand_inflight: VecDeque::new(),
+            inline_inflight: Default::default(),
             ready: VecDeque::new(),
             last_generation,
             stats: ServiceStats::default(),
             model,
+            surrogate_model,
             registry,
             surrogate,
             cfg,
@@ -291,16 +288,12 @@ impl ScoreService {
     }
 
     /// Queue depth the admission controller sees: lane backlogs plus
-    /// everything in flight on the virtual server, plus surrogate, Vina
-    /// and ligand-only evaluations still occupying their fallback bands.
+    /// everything in flight on the virtual server, plus inline-tier
+    /// evaluations still occupying their ladder bands.
     pub fn depth(&self) -> usize {
         let inflight: usize = self.inflight.iter().map(|b| b.responses.len()).sum();
-        self.full_lane.len()
-            + self.sg_lane.len()
-            + inflight
-            + self.surrogate_inflight.len()
-            + self.vina_inflight.len()
-            + self.ligand_inflight.len()
+        let inline: usize = self.inline_inflight.iter().map(VecDeque::len).sum();
+        self.full_lane.len() + self.sg_lane.len() + inflight + inline
     }
 
     /// The current virtual tick (the latest tick the service has seen).
@@ -309,8 +302,8 @@ impl ScoreService {
     }
 
     /// The next virtual tick at which a batch closes or an in-flight
-    /// batch completes, or `None` when no responses are pending. (Vina
-    /// fallback occupancy is not an event: its responses return inline.)
+    /// batch completes, or `None` when no responses are pending. (Inline-tier
+    /// band occupancy is not an event: those responses return inline.)
     pub fn next_event(&self) -> Option<Ticks> {
         let mut next: Option<Ticks> = None;
         let mut consider = |t: Option<Ticks>| {
@@ -332,9 +325,9 @@ impl ScoreService {
         self.drain_ready()
     }
 
-    /// Submits one request at tick `now`. Cache hits and Vina-tier scores
-    /// complete inline; model tiers enqueue into their lane. Shed requests
-    /// get nothing but the outcome.
+    /// Submits one request at tick `now`. Cache hits and the inline tiers
+    /// (surrogate, Vina, ligand-only) complete at once; model tiers enqueue
+    /// into their lane. Shed requests get nothing but the outcome.
     pub fn submit(&mut self, now: Ticks, req: ScoreRequest) -> SubmitOutcome {
         self.submit_with_bias(now, req, 0)
     }
@@ -363,132 +356,11 @@ impl ScoreService {
         };
         self.stats.admitted += 1;
         dftrace::counter_add("serve.admitted", 1);
-        let generation = self.registry.current().generation;
-
-        if tier == Tier::Vina {
-            // Inline fallback: no featurization, no weights, no server
-            // occupancy. Identity-addressed cache (the molecule is a pure
-            // function of its id, so identity equals content here).
-            let key = vina_key(&req);
-            let (score, cache_hit) = match self.score_cache.get(key).copied() {
-                Some(s) => (s, true),
-                None => {
-                    let compound = self.materialize(req.compound);
-                    let pocket = &self.pockets[target_index(req.target)];
-                    let s = dfdock::vina_affinity(&compound.mol, pocket) as f32;
-                    self.record_insert_score(key, s);
-                    (s, false)
-                }
-            };
-            let completed_at = if cache_hit { now } else { now + self.cfg.cost.vina_cost };
-            let resp = ScoreResponse {
-                request_id: req.id,
-                compound: req.compound,
-                target: req.target,
-                score,
-                tier,
-                cache_hit,
-                generation,
-                admitted_at: now,
-                started_at: now,
-                completed_at,
-            };
-            if !cache_hit {
-                // The evaluation occupies the fallback band until done.
-                self.vina_inflight.push_back(completed_at);
-            }
-            self.complete(&resp);
-            return SubmitOutcome::Completed(resp);
+        let live = self.registry.current();
+        if let Some(row) = INLINE_TIERS.iter().position(|r| r.tier == tier) {
+            return SubmitOutcome::Completed(self.submit_inline(row, now, req, live));
         }
-
-        if tier == Tier::Surrogate {
-            // Inline learned fallback: fingerprint + MLP forward, no
-            // pocket geometry. The cache key is content-addressed (the
-            // canonical fingerprint bytes) mixed with the *surrogate*
-            // registry's snapshot generation, so a retrain hot-swap
-            // invalidates stale surrogate scores by missing.
-            let live = self.surrogate.current();
-            let (content_hash, row) = dfsurrogate::featurize_compound(
-                &self.surrogate.config().fingerprint,
-                req.compound.library,
-                req.compound.index,
-                self.cfg.campaign_seed,
-            );
-            let key = score_key(content_hash, tier, live.generation);
-            let (score, cache_hit) = match self.score_cache.get(key).copied() {
-                Some(s) => (s, true),
-                None => {
-                    let s = self.surrogate.model().predict(&live.params, &[row])[0];
-                    self.record_insert_score(key, s);
-                    (s, false)
-                }
-            };
-            let completed_at = if cache_hit { now } else { now + self.cfg.cost.surrogate_cost };
-            let resp = ScoreResponse {
-                request_id: req.id,
-                compound: req.compound,
-                target: req.target,
-                score,
-                tier,
-                cache_hit,
-                generation: live.generation,
-                admitted_at: now,
-                started_at: now,
-                completed_at,
-            };
-            if !cache_hit {
-                self.surrogate_inflight.push_back(completed_at);
-            }
-            self.complete(&resp);
-            return SubmitOutcome::Completed(resp);
-        }
-
-        if tier == Tier::LigandOnly {
-            // Inline target-free fallback: descriptors + fingerprint only.
-            // The cache key ignores the target, so a compound scored for
-            // one pocket answers ligand-only requests against any pocket.
-            let key = ligand_key(req.compound);
-            let (score, cache_hit) = match self.score_cache.get(key).copied() {
-                Some(s) => (s, true),
-                None => {
-                    // Topology-only materialization: descriptors and
-                    // fingerprints never read coordinates or charges, and
-                    // skipping conformer relaxation keeps this inline tier
-                    // cheap enough to absorb overload bursts.
-                    let compound = Compound::materialize_topology(
-                        req.compound.library,
-                        req.compound.index,
-                        self.cfg.campaign_seed,
-                    );
-                    let d = dfchem::Descriptors::compute(&compound.mol);
-                    let fp = dfchem::Fingerprint::compute(
-                        &dfchem::FingerprintConfig::default(),
-                        &compound.mol,
-                    );
-                    let s = dfchem::ligand_score(&d, &fp) as f32;
-                    self.record_insert_score(key, s);
-                    (s, false)
-                }
-            };
-            let completed_at = if cache_hit { now } else { now + self.cfg.cost.ligand_cost };
-            let resp = ScoreResponse {
-                request_id: req.id,
-                compound: req.compound,
-                target: req.target,
-                score,
-                tier,
-                cache_hit,
-                generation,
-                admitted_at: now,
-                started_at: now,
-                completed_at,
-            };
-            if !cache_hit {
-                self.ligand_inflight.push_back(completed_at);
-            }
-            self.complete(&resp);
-            return SubmitOutcome::Completed(resp);
-        }
+        let generation = live.generation;
 
         let features = self.featurize(req.compound, req.target, tier);
         let key = score_key(features.content_hash, tier, generation);
@@ -528,6 +400,42 @@ impl ScoreService {
         SubmitOutcome::Enqueued(tier)
     }
 
+    /// The one inline-tier path: probe the score cache under the row's key,
+    /// score on a miss, and answer at once — a hit at `now`, a miss at
+    /// `now + cost`, holding one unit of the tier's ladder band until then.
+    fn submit_inline(
+        &mut self,
+        row: usize,
+        now: Ticks,
+        req: ScoreRequest,
+        fusion: Generation,
+    ) -> ScoreResponse {
+        let spec = &INLINE_TIERS[row];
+        let (key, live, features) = (spec.key)(self, &req, fusion);
+        let cached = self.score_cache.get(key).copied();
+        let score = cached.unwrap_or_else(|| (spec.score)(self, &req, &live, features));
+        let mut completed_at = now;
+        if cached.is_none() {
+            self.record_insert_score(key, score);
+            completed_at += (spec.cost)(&self.cfg.cost);
+            self.inline_inflight[row].push_back(completed_at);
+        }
+        let resp = ScoreResponse {
+            request_id: req.id,
+            compound: req.compound,
+            target: req.target,
+            score,
+            tier: spec.tier,
+            cache_hit: cached.is_some(),
+            generation: live.generation,
+            admitted_at: now,
+            started_at: now,
+            completed_at,
+        };
+        self.complete(&resp);
+        resp
+    }
+
     /// Force-closes both lanes at tick `now` (end-of-run drain) and runs
     /// virtual time forward until every in-flight batch has completed.
     /// Returns the remaining responses.
@@ -544,17 +452,13 @@ impl ScoreService {
             .back()
             .map(|b| b.completes_at)
             .into_iter()
-            .chain(self.vina_inflight.back().copied())
-            .chain(self.surrogate_inflight.back().copied())
-            .chain(self.ligand_inflight.back().copied())
+            .chain(self.inline_inflight.iter().filter_map(|band| band.back().copied()))
             .max()
             .unwrap_or(self.now);
         self.tick(drain_to.max(self.now));
         debug_assert!(
             self.inflight.is_empty()
-                && self.vina_inflight.is_empty()
-                && self.surrogate_inflight.is_empty()
-                && self.ligand_inflight.is_empty()
+                && self.inline_inflight.iter().all(VecDeque::is_empty)
                 && self.full_lane.is_empty()
                 && self.sg_lane.is_empty()
         );
@@ -566,14 +470,10 @@ impl ScoreService {
         assert!(now >= self.now, "virtual time must be monotonic: {} < {}", now, self.now);
         self.now = now;
         // Retire inline evaluations whose band occupancy has lapsed.
-        while self.vina_inflight.front().is_some_and(|&t| t <= self.now) {
-            self.vina_inflight.pop_front();
-        }
-        while self.surrogate_inflight.front().is_some_and(|&t| t <= self.now) {
-            self.surrogate_inflight.pop_front();
-        }
-        while self.ligand_inflight.front().is_some_and(|&t| t <= self.now) {
-            self.ligand_inflight.pop_front();
+        for band in &mut self.inline_inflight {
+            while band.front().is_some_and(|&t| t <= now) {
+                band.pop_front();
+            }
         }
         loop {
             // Retire in-flight batches that have completed by `now`.
@@ -697,8 +597,9 @@ impl ScoreService {
     /// Records one finished response into stats and trace.
     fn complete(&mut self, resp: &ScoreResponse) {
         self.stats.completed += 1;
-        self.stats.per_tier[tier_index(resp.tier)] += 1;
-        dftrace::counter_add(tier_counter(resp.tier), 1);
+        let tier = tier_index(resp.tier);
+        self.stats.per_tier[tier] += 1;
+        dftrace::counter_add(TIER_COUNTERS[tier], 1);
         dftrace::observe_us("serve.queue_wait_vus", resp.queue_wait());
         dftrace::observe_us("serve.e2e_vus", resp.e2e());
     }
@@ -802,12 +703,12 @@ impl ScoreService {
             Tier::Surrogate => {
                 let live = self.surrogate.current();
                 let (_, row) = dfsurrogate::featurize_compound(
-                    &self.surrogate.config().fingerprint,
+                    &self.surrogate.arch().fingerprint,
                     compound.library,
                     compound.index,
                     self.cfg.campaign_seed,
                 );
-                self.surrogate.model().predict(&live.params, &[row])[0]
+                self.surrogate_model.predict(&live.params, &[row])[0]
             }
             Tier::Vina => {
                 let mut c =
@@ -831,27 +732,91 @@ impl ScoreService {
     }
 }
 
-/// Index of a tier in [`Tier::ALL`]-shaped arrays.
-fn tier_index(tier: Tier) -> usize {
-    match tier {
-        Tier::FullFusion => 0,
-        Tier::SgHead => 1,
-        Tier::Surrogate => 2,
-        Tier::Vina => 3,
-        Tier::LigandOnly => 4,
-    }
+/// What an inline tier's key derivation yields: the score-cache key, the
+/// generation the response echoes and — when deriving a content-addressed
+/// key already paid for it — the feature row, carried to the miss path.
+type InlineKey = (u64, Generation, Vec<f32>);
+
+/// One inline tier: what varies between the tiers answered at submit time,
+/// beside the model server. A new one is a row of [`INLINE_TIERS`] (plus
+/// its [`Tier`] variant, ladder band and cost field).
+struct InlineTier {
+    tier: Tier,
+    /// Derives the key; tiers with no weights of their own echo `fusion`,
+    /// the live fusion generation.
+    key: fn(&ScoreService, &ScoreRequest, fusion: Generation) -> InlineKey,
+    /// Miss-time score under that generation and feature row.
+    score: fn(&ScoreService, &ScoreRequest, &Generation, Vec<f32>) -> f32,
+    /// Ticks a miss occupies the tier's ladder band.
+    cost: fn(&CostModel) -> Ticks,
 }
 
-/// Per-tier completion counter name.
-fn tier_counter(tier: Tier) -> &'static str {
-    match tier {
-        Tier::FullFusion => "serve.tier.full",
-        Tier::SgHead => "serve.tier.sg_head",
-        Tier::Surrogate => "serve.tier.surrogate",
-        Tier::Vina => "serve.tier.vina",
-        Tier::LigandOnly => "serve.tier.ligand_only",
-    }
+const INLINE_TIERS: [InlineTier; 3] = [
+    // Learned fallback: fingerprint + MLP forward, no pocket geometry. The
+    // key is content-addressed (the canonical fingerprint bytes) mixed with
+    // the *surrogate* registry's generation, so a retrain hot-swap
+    // invalidates stale surrogate scores by missing.
+    InlineTier {
+        tier: Tier::Surrogate,
+        key: |svc, req, _| {
+            let live = svc.surrogate.current();
+            let (content_hash, row) = dfsurrogate::featurize_compound(
+                &svc.surrogate.arch().fingerprint,
+                req.compound.library,
+                req.compound.index,
+                svc.cfg.campaign_seed,
+            );
+            (score_key(content_hash, Tier::Surrogate, live.generation), live, row)
+        },
+        score: |svc, _, live, row| svc.surrogate_model.predict(&live.params, &[row])[0],
+        cost: |cost| cost.surrogate_cost,
+    },
+    // Physics fallback: no featurization, no weights. Identity-addressed
+    // key (the molecule is a pure function of its id, so identity equals
+    // content here).
+    InlineTier {
+        tier: Tier::Vina,
+        key: |_, req, fusion| (vina_key(req), fusion, Vec::new()),
+        score: |svc, req, _, _| {
+            let compound = svc.materialize(req.compound);
+            dfdock::vina_affinity(&compound.mol, &svc.pockets[target_index(req.target)]) as f32
+        },
+        cost: |cost| cost.vina_cost,
+    },
+    // Target-free fallback: descriptors + fingerprint only. The key ignores
+    // the target, so a compound scored for one pocket answers ligand-only
+    // requests against any pocket.
+    InlineTier {
+        tier: Tier::LigandOnly,
+        key: |_, req, fusion| (ligand_key(req.compound), fusion, Vec::new()),
+        score: |svc, req, _, _| {
+            // Topology-only materialization: descriptors and fingerprints
+            // never read coordinates or charges, and skipping conformer
+            // relaxation keeps this tier cheap enough to absorb overload
+            // bursts.
+            let id = req.compound;
+            let c = Compound::materialize_topology(id.library, id.index, svc.cfg.campaign_seed);
+            let d = dfchem::Descriptors::compute(&c.mol);
+            let fp = dfchem::Fingerprint::compute(&dfchem::FingerprintConfig::default(), &c.mol);
+            dfchem::ligand_score(&d, &fp) as f32
+        },
+        cost: |cost| cost.ligand_cost,
+    },
+];
+
+/// Index of a tier in [`Tier::ALL`]-shaped arrays.
+fn tier_index(tier: Tier) -> usize {
+    Tier::ALL.iter().position(|&t| t == tier).expect("Tier::ALL covers every variant")
 }
+
+/// Per-tier completion counter names, indexed like [`Tier::ALL`].
+const TIER_COUNTERS: [&str; Tier::ALL.len()] = [
+    "serve.tier.full",
+    "serve.tier.sg_head",
+    "serve.tier.surrogate",
+    "serve.tier.vina",
+    "serve.tier.ligand_only",
+];
 
 /// Index of a target in [`TargetSite::ALL`] (pocket array order).
 fn target_index(target: TargetSite) -> usize {

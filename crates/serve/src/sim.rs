@@ -21,6 +21,7 @@ use crate::request::{ScoreRequest, ScoreResponse, SubmitOutcome, Ticks, Tier, TI
 use crate::service::ScoreService;
 use dfchem::genmol::{CompoundId, Library};
 use dfchem::pocket::TargetSite;
+use dftensor::hash::{fnv1a64, fnv1a64_update};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -407,12 +408,12 @@ pub struct FleetSimReport {
 
 /// Digest of a response stream already in merged order.
 fn score_digest(responses: &[ScoreResponse]) -> u64 {
-    let mut h = crate::cache::fnv1a64(b"serve.fleet/digest");
+    let mut h = fnv1a64(b"serve.fleet/digest");
     for r in responses {
-        h = crate::cache::fnv1a64_update(h, &r.request_id.to_le_bytes());
-        h = crate::cache::fnv1a64_update(h, &r.score.to_bits().to_le_bytes());
-        h = crate::cache::fnv1a64_update(h, r.tier.tag().as_bytes());
-        h = crate::cache::fnv1a64_update(h, &r.completed_at.to_le_bytes());
+        h = fnv1a64_update(h, &r.request_id.to_le_bytes());
+        h = fnv1a64_update(h, &r.score.to_bits().to_le_bytes());
+        h = fnv1a64_update(h, r.tier.tag().as_bytes());
+        h = fnv1a64_update(h, &r.completed_at.to_le_bytes());
     }
     h
 }

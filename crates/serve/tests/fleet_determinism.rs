@@ -189,7 +189,7 @@ fn hot_swap_rekeys_every_shard_at_once() {
 
     // Publish perturbed weights into the shared registry.
     let registry = fleet.registry().clone();
-    let (_, mut ps) = registry.spec().build();
+    let (_, mut ps) = registry.arch().build();
     for (_, entry) in ps.iter_mut() {
         entry.value.map_inplace(|w| w + 0.05);
     }

@@ -84,7 +84,7 @@ fn hot_swap_changes_scores_and_invalidates_cached_entries() {
 
     // Publish perturbed weights: every parameter shifted by +0.05.
     let registry = Arc::clone(svc.registry());
-    let (_, mut ps) = registry.spec().build();
+    let (_, mut ps) = registry.arch().build();
     for (_, entry) in ps.iter_mut() {
         entry.value.map_inplace(|w| w + 0.05);
     }
@@ -197,31 +197,94 @@ fn ligand_only_tier_engages_between_vina_and_shed() {
         assert!(r.score.is_finite());
         assert!((-12.5..=-2.9).contains(&(r.score as f64)), "ligand score {} out of band", r.score);
     }
-    // The ligand-only score is target-independent: the same compound
-    // against a different pocket is a cache hit with an identical score.
-    let probe = ligand[0];
-    let mut svc2 = ScoreService::with_fresh_registry(ServeConfig::tiny(35));
-    let mut seed_req = request(probe.request_id);
-    let mut alt_req = seed_req;
-    alt_req.target = TargetSite::ALL[(probe.request_id as usize + 1) % 4];
-    alt_req.id = 9_999;
-    // Drive svc2 into the ligand band the same way, then re-ask.
-    for i in 0..(vina_max as u64 + 1) {
-        let _ = svc2.submit(5, request(i));
-    }
-    seed_req.id = 9_998;
-    let first = match svc2.submit(5, seed_req) {
-        SubmitOutcome::Completed(r) => r,
-        other => panic!("expected inline ligand completion, got {other:?}"),
-    };
-    assert_eq!(first.tier, Tier::LigandOnly);
-    let second = match svc2.submit(5, alt_req) {
-        SubmitOutcome::Completed(r) => r,
-        other => panic!("expected inline ligand completion, got {other:?}"),
-    };
-    assert_eq!(second.tier, Tier::LigandOnly);
-    assert!(second.cache_hit, "same compound, different target: ligand cache must hit");
-    assert_eq!(first.score.to_bits(), second.score.to_bits());
     svc.flush(1_000_000);
     assert_eq!(svc.depth(), 0);
+}
+
+#[test]
+fn inline_tiers_share_one_timing_caching_and_rekeying_contract() {
+    let cfg = ServeConfig::tiny(36);
+    let (ladder, cost) = (cfg.ladder, cfg.cost);
+    // The inline-tier table as a caller sees it: the admission bias that
+    // lands an idle service in the tier's band, the cost of a miss, whether
+    // the cache key ignores the target, and whether the surrogate registry
+    // stamps it.
+    let table = [
+        (Tier::Surrogate, ladder.sg_max_depth, cost.surrogate_cost, true, true),
+        (Tier::Vina, ladder.surrogate_max_depth, cost.vina_cost, false, false),
+        (Tier::LigandOnly, ladder.vina_max_depth, cost.ligand_cost, true, false),
+    ];
+    for (tier, bias, miss_cost, target_free, surrogate_stamped) in table {
+        let mut svc = ScoreService::with_fresh_registry(cfg.clone());
+        let mut next_id = 0u64;
+        let mut ask = |svc: &mut ScoreService, now: u64, target: TargetSite| {
+            next_id += 1;
+            let req = ScoreRequest { id: next_id, target, ..request(2) };
+            match svc.submit_with_bias(now, req, bias) {
+                SubmitOutcome::Completed(r) => {
+                    assert_eq!((r.tier, r.admitted_at, r.started_at), (tier, now, now));
+                    r
+                }
+                other => panic!("{tier:?} must answer inline, got {other:?}"),
+            }
+        };
+        let (home, other) = (TargetSite::ALL[2], TargetSite::ALL[3]);
+
+        // A miss completes at now + cost and holds one unit of depth until
+        // exactly that tick.
+        let miss = ask(&mut svc, 1_000, home);
+        assert!(!miss.cache_hit, "{tier:?}: first sight is a miss");
+        assert_eq!(miss.completed_at, 1_000 + miss_cost, "{tier:?}");
+        assert_eq!(svc.depth(), 1, "{tier:?}: a miss occupies its band");
+        assert!(svc.next_event().is_none(), "{tier:?}: band occupancy is not an event");
+        assert!(svc.advance(miss.completed_at - 1).is_empty());
+        assert_eq!(svc.depth(), 1, "{tier:?}: still occupied one tick early");
+        assert!(svc.advance(miss.completed_at).is_empty());
+        assert_eq!(svc.depth(), 0, "{tier:?}: retired at its completion tick");
+
+        // A repeat completes at now from the cache and holds nothing.
+        let hit = ask(&mut svc, 10_000, home);
+        assert!(hit.cache_hit, "{tier:?}: a repeat is a hit");
+        assert_eq!(hit.completed_at, 10_000, "{tier:?}");
+        assert_eq!(hit.score.to_bits(), miss.score.to_bits(), "{tier:?}");
+        assert_eq!(svc.depth(), 0, "{tier:?}: a hit occupies nothing");
+
+        // Same compound, another pocket.
+        let across = ask(&mut svc, 20_000, other);
+        assert_eq!(across.cache_hit, target_free, "{tier:?}: hit across targets");
+        if target_free {
+            assert_eq!(across.score.to_bits(), miss.score.to_bits(), "{tier:?}");
+        }
+        assert_eq!(svc.depth(), usize::from(!target_free));
+
+        // A fusion publish re-keys no inline tier; the tiers without
+        // weights of their own echo the new fusion generation.
+        let fusion = Arc::clone(svc.registry());
+        let (_, mut ps) = fusion.arch().build();
+        ps.iter_mut().for_each(|(_, e)| e.value.map_inplace(|w| w + 0.05));
+        assert_eq!(fusion.publish(&ps.snapshot()).expect("valid"), 1);
+        let after_fusion = ask(&mut svc, 30_000, home);
+        assert!(after_fusion.cache_hit, "{tier:?}: fusion publish must not re-key");
+        assert_eq!(after_fusion.generation, u64::from(!surrogate_stamped), "{tier:?}");
+
+        // A surrogate publish re-keys the surrogate tier only.
+        let surrogate = Arc::clone(svc.surrogate_registry());
+        let (_, mut ps) = surrogate.arch().build();
+        ps.iter_mut().for_each(|(_, e)| e.value.map_inplace(|w| w + 0.05));
+        assert_eq!(surrogate.publish(&ps.snapshot()).expect("valid"), 1);
+        let after_surrogate = ask(&mut svc, 40_000, home);
+        assert_eq!(after_surrogate.cache_hit, !surrogate_stamped, "{tier:?}: surrogate publish");
+        assert_eq!(after_surrogate.generation, 1, "{tier:?}");
+        if surrogate_stamped {
+            assert_ne!(after_surrogate.score.to_bits(), miss.score.to_bits());
+            assert_eq!(after_surrogate.completed_at, 40_000 + miss_cost);
+        }
+        assert_eq!(
+            svc.reference_score(after_surrogate.compound, home, tier),
+            after_surrogate.score
+        );
+
+        svc.flush(1_000_000);
+        assert_eq!(svc.depth(), 0);
+    }
 }

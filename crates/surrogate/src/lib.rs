@@ -16,11 +16,11 @@
 //! * [`train`](mod@train) — deterministic minibatch SGD/Adam over a labeled pool:
 //!   fixed seeded shuffles, serial optimizer steps, so the same pool and
 //!   seed reproduce the same weights bit-for-bit with tracing on or off.
-//! * [`registry`] — generation-stamped hot-swap of trained weights,
-//!   mirroring `dfserve`'s snapshot registry: publishing a
-//!   [`ParamSnapshot`](dftensor::params::ParamSnapshot) validates it
-//!   against a freshly built store and bumps the generation that
-//!   content-addressed score-cache keys mix in.
+//! * [`registry`] — generation-stamped hot-swap of trained weights, the
+//!   same [`dftensor::HotSwap`] store as `dfserve`'s snapshot registry:
+//!   publishing a [`ParamSnapshot`](dftensor::params::ParamSnapshot)
+//!   validates it against a freshly built store and bumps the generation
+//!   that content-addressed score-cache keys mix in.
 //!
 //! The active-learning campaign driver that closes the loop — surrogate
 //! rank, dock the top slice, retrain, hot-swap — lives in
@@ -39,5 +39,5 @@ pub use model::{
     descriptor_row, featurize, featurize_compound, fingerprint_content_hash, snapshot_hash,
     SurrogateConfig, SurrogateMlp, DESCRIPTOR_CHANNELS,
 };
-pub use registry::{SurrogateGeneration, SurrogateRegistry};
+pub use registry::SurrogateRegistry;
 pub use train::{train, LabeledExample, TrainConfig, TrainReport};

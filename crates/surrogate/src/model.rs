@@ -17,6 +17,7 @@
 
 use dfchem::genmol::{Compound, Library};
 use dfchem::{Descriptors, Fingerprint, FingerprintConfig};
+use dftensor::hash::fnv1a64;
 use dftensor::nn::Linear;
 use dftensor::params::{ParamSnapshot, ParamStore};
 use dftensor::serialize::encode_snapshot;
@@ -231,17 +232,6 @@ pub fn fingerprint_content_hash(fp: &Fingerprint) -> u64 {
 /// of trained weights, journaled per epoch by the active-learning driver.
 pub fn snapshot_hash(snap: &ParamSnapshot) -> u64 {
     fnv1a64(&encode_snapshot(snap))
-}
-
-/// FNV-1a over a byte slice (same constants as the checkpoint/cache
-/// digests elsewhere in the workspace).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -1,132 +1,35 @@
-//! Surrogate-snapshot registry with hot-swap generations.
+//! The surrogate's hot-swap registry.
 //!
-//! The same mechanism as `dfserve`'s fusion-model `SnapshotRegistry`,
-//! specialized to the surrogate MLP: the registry owns the live weights
-//! as an immutable [`ParamStore`] behind an `Arc`, stamped with a
-//! monotonically increasing generation. Publishing a trained snapshot
-//! validates it against a freshly built store (names, shapes, order) and
-//! swaps the `Arc`; readers that already cloned the previous generation
-//! keep scoring against it. Content-addressed score-cache keys mix the
-//! generation in, so a hot-swap invalidates stale surrogate scores by
-//! missing instead of flushing — and the active-learning driver's
+//! [`SurrogateRegistry`] is `dftensor`'s generation-stamped [`HotSwap`]
+//! store — the same one behind `dfserve`'s fusion-model `SnapshotRegistry`
+//! — instantiated for [`SurrogateConfig`], so the active-learning driver's
 //! per-epoch retrain becomes visible to the serving tier the moment it
-//! publishes.
+//! publishes. The registry holds weights only: whoever predicts builds the
+//! [`SurrogateMlp`](crate::SurrogateMlp) structure once from the same
+//! config.
 
-use crate::model::{SurrogateConfig, SurrogateMlp};
-use dftensor::params::{ParamSnapshot, ParamStore};
-use dftensor::serialize::decode_snapshot;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::model::SurrogateConfig;
+use dftensor::params::ParamStore;
+use dftensor::{Architecture, HotSwap};
 
-/// One immutable published surrogate weight set.
-#[derive(Debug, Clone)]
-pub struct SurrogateGeneration {
-    /// Monotonic generation number (0 = the config's initial weights).
-    pub generation: u64,
-    /// The weights themselves.
-    pub params: Arc<ParamStore>,
-}
+impl Architecture for SurrogateConfig {
+    const SWAP_COUNTER: &'static str = "surrogate.registry.swaps";
 
-/// The hot-swap registry. Cheap to share (`Arc<SurrogateRegistry>`):
-/// the campaign driver publishes after each retrain while scoring passes
-/// and the serving tier read.
-#[derive(Debug)]
-pub struct SurrogateRegistry {
-    cfg: SurrogateConfig,
-    model: SurrogateMlp,
-    current: Mutex<SurrogateGeneration>,
-    next_gen: AtomicU64,
-}
-
-impl SurrogateRegistry {
-    /// Builds the registry; generation 0 is the config's initial weights.
-    pub fn new(cfg: SurrogateConfig) -> SurrogateRegistry {
-        let (model, ps) = cfg.build();
-        SurrogateRegistry {
-            cfg,
-            model,
-            current: Mutex::new(SurrogateGeneration { generation: 0, params: Arc::new(ps) }),
-            next_gen: AtomicU64::new(1),
-        }
-    }
-
-    /// The architecture this registry validates snapshots against.
-    pub fn config(&self) -> &SurrogateConfig {
-        &self.cfg
-    }
-
-    /// The model structure the published weights plug into.
-    pub fn model(&self) -> &SurrogateMlp {
-        &self.model
-    }
-
-    /// The live generation (clone of the `Arc`, not the weights).
-    pub fn current(&self) -> SurrogateGeneration {
-        self.current.lock().clone()
-    }
-
-    /// Predicts with the live generation; returns the generation number
-    /// the predictions were made under alongside the scores.
-    pub fn predict_current(&self, rows: &[Vec<f32>]) -> (u64, Vec<f32>) {
-        let live = self.current();
-        (live.generation, self.model.predict(&live.params, rows))
-    }
-
-    /// Validates `snap` against the surrogate architecture and swaps it
-    /// in as the next generation. Returns the new generation number.
-    pub fn publish(&self, snap: &ParamSnapshot) -> Result<u64, String> {
-        let (_, mut staged) = self.cfg.build();
-        staged.restore(snap)?;
-        let generation = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        *self.current.lock() = SurrogateGeneration { generation, params: Arc::new(staged) };
-        dftrace::counter_add("surrogate.registry.swaps", 1);
-        Ok(generation)
-    }
-
-    /// Publishes from a binary `DFWT` snapshot buffer.
-    pub fn publish_bytes(&self, bytes: &[u8]) -> Result<u64, String> {
-        let snap = decode_snapshot(bytes).map_err(|e| e.to_string())?;
-        self.publish(&snap)
+    fn fresh_params(&self) -> ParamStore {
+        self.build().1
     }
 }
+
+/// The surrogate's hot-swap registry. Cheap to share
+/// (`Arc<SurrogateRegistry>`): the campaign driver publishes after each
+/// retrain while scoring passes and the serving tier read.
+pub type SurrogateRegistry = HotSwap<SurrogateConfig>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::snapshot_hash;
     use crate::train::{train, LabeledExample, TrainConfig};
-    use dftensor::serialize::encode_snapshot;
-
-    #[test]
-    fn publish_swaps_bumps_generation_and_serves_exact_bits() {
-        let reg = SurrogateRegistry::new(SurrogateConfig::tiny(3));
-        assert_eq!(reg.current().generation, 0);
-        let (_, mut ps) = reg.config().build();
-        let id = ps.iter().next().expect("model has parameters").0;
-        ps.value_mut(id).map_inplace(|w| w + 0.5);
-        let snap = ps.snapshot();
-        assert_eq!(reg.publish(&snap).expect("valid snapshot"), 1);
-        let live = reg.current();
-        assert_eq!(live.generation, 1);
-        assert_eq!(
-            live.params.value(id).data()[0].to_bits(),
-            ps.value(id).data()[0].to_bits(),
-            "published weights must be served bit-exactly"
-        );
-        assert_eq!(snapshot_hash(&live.params.snapshot()), snapshot_hash(&snap));
-        // Binary round trip publishes generation 2 with identical bits.
-        assert_eq!(reg.publish_bytes(&encode_snapshot(&snap)).expect("dfwt"), 2);
-    }
-
-    #[test]
-    fn mismatched_snapshot_is_rejected_and_keeps_current() {
-        let reg = SurrogateRegistry::new(SurrogateConfig::tiny(3));
-        let mut other = ParamStore::new();
-        other.add("rogue", dftensor::Tensor::zeros(&[2]));
-        assert!(reg.publish(&other.snapshot()).is_err());
-        assert_eq!(reg.current().generation, 0, "failed publish must not swap");
-    }
 
     #[test]
     fn retrain_then_publish_changes_predictions_under_a_new_generation() {
@@ -143,8 +46,10 @@ mod tests {
                 row
             })
             .collect();
-        let (g0, before) = reg.predict_current(&rows);
-        assert_eq!(g0, 0);
+        let (model, mut ps) = cfg.build();
+        let live = reg.current();
+        assert_eq!(live.generation, 0);
+        let before = model.predict(&live.params, &rows);
 
         let pool: Vec<LabeledExample> = rows
             .iter()
@@ -155,11 +60,12 @@ mod tests {
                 label: -4.0 - i as f32 * 0.3,
             })
             .collect();
-        let (model, mut ps) = cfg.build();
         train(&model, &mut ps, &TrainConfig { epochs: 10, ..TrainConfig::default() }, &pool);
         reg.publish(&ps.snapshot()).expect("trained snapshot");
-        let (g1, after) = reg.predict_current(&rows);
-        assert_eq!(g1, 1);
+        let live = reg.current();
+        assert_eq!(live.generation, 1);
+        assert_eq!(snapshot_hash(&live.params.snapshot()), snapshot_hash(&ps.snapshot()));
+        let after = model.predict(&live.params, &rows);
         assert_ne!(before, after, "hot-swap must change live predictions");
     }
 }

@@ -9,7 +9,9 @@
 //! * a tape-based reverse-mode autodiff [`Graph`],
 //! * layer building blocks in [`nn`] (Linear, Conv3d, BatchNorm, Dropout),
 //! * the optimizer family from the paper's Table 1 in [`optim`],
-//! * seeded randomness helpers in [`rng`] shared by the whole workspace.
+//! * seeded randomness helpers in [`rng`] and the one FNV-1a [`hash`], both
+//!   shared by the whole workspace,
+//! * [`HotSwap`], the generation-stamped weight store serving tiers read.
 //!
 //! Design notes: a `Graph` is built per forward pass; parameters live in a
 //! [`ParamStore`] and are injected either trainable or frozen, which is how
@@ -17,6 +19,8 @@
 //! variants are expressed with one code path.
 
 pub mod graph;
+pub mod hash;
+pub mod hotswap;
 pub mod init;
 pub mod nn;
 pub mod ops;
@@ -29,6 +33,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use graph::{BackCtx, Gradients, Graph, VarId};
+pub use hotswap::{Architecture, Generation, HotSwap};
 pub use nn::{Activation, BatchNorm, Conv3d, Dropout, Linear};
 pub use ops::{BatchNormOut, GradCheck};
 pub use optim::{Adadelta, Adam, AdamW, Optimizer, OptimizerKind, RmsProp, Sgd};

@@ -56,9 +56,8 @@ pub(crate) const MC: usize = 64;
 
 /// GEMMs below this many multiply-adds run inline on the calling thread
 /// even when a pool is installed: at small sizes the tile hand-off costs
-/// more than it buys (the `tensor_matmul_160` regression in
-/// `BENCH_parallel.json`). 160³ ≈ 4.1 M MACs sits under this; 512³ is
-/// ~16× over it.
+/// more than it buys (a pooled 160³ matmul measured slower than serial).
+/// 160³ ≈ 4.1 M MACs sits under this; 512³ is ~16× over it.
 const SERIAL_CUTOFF_MACS: usize = 8 << 20;
 
 /// Minimum multiply-adds per macro-tile above the cutoff, so tiles stay

@@ -5,6 +5,7 @@
 //! hot-swapped generation must score identically to the store it was
 //! published from).
 
+use crate::hash::fnv1a64;
 use crate::params::{ParamSnapshot, ParamStore, SavedParam};
 use std::path::Path;
 
@@ -58,15 +59,6 @@ pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> Result<(),
 const DFWT_MAGIC: &[u8; 4] = b"DFWT";
 /// Binary snapshot format version.
 const DFWT_VERSION: u32 = 1;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Encodes a snapshot into the `DFWT` binary layout:
 ///
