@@ -46,19 +46,19 @@ pub struct Descriptors {
 impl Descriptors {
     /// Computes every descriptor for a molecule.
     pub fn compute(mol: &Molecule) -> Descriptors {
-        let rotatable_bonds_strict = mol.num_rotatable_bonds_strict();
+        let graph = mol.graph_counts();
         Descriptors {
             molecular_weight: mol.molecular_weight(),
             heavy_atoms: mol.num_heavy_atoms(),
             carbons: mol.num_carbons(),
-            rotatable_bonds: mol.num_rotatable_bonds(),
-            rotatable_bonds_strict,
-            rigid_bonds: mol.num_heavy_bonds().saturating_sub(rotatable_bonds_strict),
+            rotatable_bonds: graph.rotatable_bonds,
+            rotatable_bonds_strict: graph.rotatable_bonds_strict,
+            rigid_bonds: mol.num_heavy_bonds().saturating_sub(graph.rotatable_bonds_strict),
             hbond_donors: mol.num_hbond_donors(),
             hbond_acceptors: mol.num_hbond_acceptors(),
             logp: mol.logp_estimate(),
             tpsa: tpsa_estimate(mol),
-            ring_count: ring_count(mol),
+            ring_count: cyclomatic_number(mol, graph.components),
             fsp3: fsp3(mol),
             radius_of_gyration: mol.radius_of_gyration(),
         }
@@ -105,35 +105,11 @@ impl Descriptors {
 /// generated molecules are connected; disconnected inputs count per
 /// component).
 pub fn ring_count(mol: &Molecule) -> usize {
-    let components = count_components(mol);
-    (mol.bonds.len() + components).saturating_sub(mol.num_atoms())
+    cyclomatic_number(mol, mol.graph_counts().components)
 }
 
-fn count_components(mol: &Molecule) -> usize {
-    let n = mol.num_atoms();
-    if n == 0 {
-        return 0;
-    }
-    let adj = mol.adjacency();
-    let mut seen = vec![false; n];
-    let mut components = 0;
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        components += 1;
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    components
+fn cyclomatic_number(mol: &Molecule, components: usize) -> usize {
+    (mol.bonds.len() + components).saturating_sub(mol.num_atoms())
 }
 
 /// TPSA-style polar surface area: fixed per-atom contributions for polar

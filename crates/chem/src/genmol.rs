@@ -11,10 +11,10 @@
 
 use crate::element::Element;
 use crate::geom::Vec3;
-use crate::mol::{Atom, Bond, BondOrder, Molecule};
+use crate::mol::{Atom, BondOrder, Molecule};
 use dftensor::rng::{derive_seed, normal_with, rng};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// Tunables for the random molecule builder.
@@ -89,45 +89,170 @@ pub fn generate_molecule(cfg: &MolGenConfig, name: impl Into<String>, seed: u64)
 /// The skipped steps consume no randomness and never alter the bond
 /// graph, so the topology (atoms, bonds, orders, rings) is bit-identical
 /// to the fully materialized molecule's — only coordinates and charges
-/// differ. Topological consumers (descriptors, rule filters, circular
-/// fingerprints) use this path; the ligand-screening pipeline relies on
-/// it, since conformer relaxation is O(atoms²·iterations) and dominates
-/// generation cost.
+/// differ. Consumers that read the unrelaxed conformer (the surrogate's
+/// radius-of-gyration channel, the screen's survivor pass) use this
+/// path, since conformer relaxation is O(atoms²·iterations) and
+/// dominates generation cost; consumers that read no coordinate at all
+/// use [`generate_graph_only`].
 pub fn generate_topology(cfg: &MolGenConfig, name: impl Into<String>, seed: u64) -> Molecule {
+    generate_with(cfg, name.into(), seed, place_next_to)
+}
+
+/// Builds the bond graph of [`generate_topology`] — the same atoms'
+/// elements, the same bonds in the same order — without placing a single
+/// atom: every `pos` is [`Vec3::ZERO`].
+///
+/// # The stream contract
+///
+/// The generator draws from one `StdRng` for everything: atom count,
+/// elements, attachment points, coordinates, ring closures, double bonds.
+/// Two facts make skipping the coordinates safe:
+///
+/// * **A placement consumes a fixed number of words.** Placing one atom
+///   draws one bond-length normal plus three normals for each of
+///   `PLACEMENT_CANDIDATES` (12) directions, 37 normals in all, and a
+///   Box–Muller normal is two `next_u64` words whatever its value: 74
+///   words (`PLACEMENT_WORDS`), independent of the molecule.
+/// * **Coordinates never feed back into topology.** No attachment, ring
+///   closure or bond-order decision reads `pos`.
+///
+/// So the graph-only form advances the generator by `PLACEMENT_WORDS`
+/// where the positional form would place an atom; every later draw sees
+/// the identical stream and the bond graph is bit-equal. Use it wherever
+/// nothing reads coordinates (rule filters, circular fingerprints,
+/// routing keys); `radius_of_gyration` of the result is 0.
+pub fn generate_graph_only(cfg: &MolGenConfig, name: impl Into<String>, seed: u64) -> Molecule {
+    generate_with(cfg, name.into(), seed, skip_placement)
+}
+
+/// Widest atom the generator can build: no element bonds to more than
+/// four neighbours (`Element::max_valence`, locked by a test).
+const MAX_DEGREE: usize = 4;
+
+/// Integer bookkeeping of the growing bond graph, updated as each bond is
+/// added so no generation loop rebuilds valences or adjacency from
+/// `Molecule::bonds`. Lives for one `generate_with` call.
+struct BondGraph {
+    /// Valence units each atom still has free.
+    spare: Vec<usize>,
+    /// Neighbour count per atom (`<= MAX_DEGREE`).
+    degree: Vec<usize>,
+    /// Neighbours per atom; the first `degree[i]` entries are live.
+    neighbours: Vec<[usize; MAX_DEGREE]>,
+    /// Graph distances left by the last [`BondGraph::measure_from`].
+    dist: Vec<usize>,
+    /// BFS scratch of [`BondGraph::measure_from`].
+    queue: Vec<usize>,
+}
+
+impl BondGraph {
+    fn with_capacity(n: usize) -> BondGraph {
+        BondGraph {
+            spare: Vec::with_capacity(n),
+            degree: Vec::with_capacity(n),
+            neighbours: Vec::with_capacity(n),
+            dist: Vec::with_capacity(n),
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    fn add_atom(&mut self, elem: Element) {
+        self.spare.push(elem.max_valence());
+        self.degree.push(0);
+        self.neighbours.push([0; MAX_DEGREE]);
+    }
+
+    /// Records a new single bond `a`–`b`.
+    fn add_single_bond(&mut self, a: usize, b: usize) {
+        for (u, v) in [(a, b), (b, a)] {
+            self.spare[u] -= 1;
+            self.neighbours[u][self.degree[u]] = v;
+            self.degree[u] += 1;
+        }
+    }
+
+    /// Fills `dist` with the graph distance from `from` to every atom
+    /// within `max` bonds (`usize::MAX` beyond).
+    fn measure_from(&mut self, from: usize, max: usize) {
+        self.dist.clear();
+        self.dist.resize(self.spare.len(), usize::MAX);
+        self.dist[from] = 0;
+        self.queue.clear();
+        self.queue.push(from);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            if self.dist[u] == max {
+                continue;
+            }
+            for &v in &self.neighbours[u][..self.degree[u]] {
+                if self.dist[v] == usize::MAX {
+                    self.dist[v] = self.dist[u] + 1;
+                    self.queue.push(v);
+                }
+            }
+        }
+    }
+}
+
+/// The one generator body. `place` is called where a new atom needs
+/// coordinates: [`place_next_to`] for the positional form,
+/// [`skip_placement`] for the graph-only one.
+fn generate_with(
+    cfg: &MolGenConfig,
+    name: String,
+    seed: u64,
+    place: impl Fn(&Molecule, usize, Element, &mut StdRng) -> Vec3,
+) -> Molecule {
     let mut r = rng(seed);
     let n_heavy = r.gen_range(cfg.min_heavy..=cfg.max_heavy);
     let mut m = Molecule::new(name);
+    m.atoms.reserve(n_heavy);
+    m.bonds.reserve(n_heavy + n_heavy / 6);
+    let mut g = BondGraph::with_capacity(n_heavy);
+    // Attachment candidates while growing, ring partners afterwards.
+    let mut picks: Vec<usize> = Vec::with_capacity(n_heavy);
 
     // 1. Grow a tree of heavy atoms.
     m.add_atom(Atom::new(Element::C, Vec3::ZERO));
+    g.add_atom(Element::C);
     while m.num_atoms() < n_heavy {
         let elem = sample_element(cfg, &mut r);
         // Pick an attachment point with spare valence.
-        let used = m.used_valence();
-        let candidates: Vec<usize> =
-            (0..m.num_atoms()).filter(|&i| used[i] < m.atoms[i].element.max_valence()).collect();
-        if candidates.is_empty() {
+        picks.clear();
+        picks.extend((0..m.num_atoms()).filter(|&i| g.spare[i] > 0));
+        if picks.is_empty() {
             break; // fully saturated (tiny molecules only)
         }
         let parent = if r.gen::<f64>() < cfg.branch_prob || m.num_atoms() == 1 {
-            candidates[r.gen_range(0..candidates.len())]
+            picks[r.gen_range(0..picks.len())]
         } else {
             // Prefer extending from the most recent attachable atom to make
             // chain-like backbones.
-            *candidates.last().expect("non-empty")
+            *picks.last().expect("non-empty")
         };
-        let pos = place_next_to(&m, parent, elem, &mut r);
+        let pos = place(&m, parent, elem, &mut r);
         let idx = m.add_atom(Atom::new(elem, pos));
+        g.add_atom(elem);
         m.add_bond(parent, idx, BondOrder::Single);
+        g.add_single_bond(parent, idx);
     }
 
-    // 2. Ring closures between atoms at graph distance 4..=6.
-    close_rings(cfg, &mut m, &mut r);
+    // 2. Ring closures between atoms `RING_CLOSURE_SPAN` bonds apart.
+    close_rings(cfg, &mut m, &mut g, &mut picks, &mut r);
 
     // 3. Upgrade some eligible bonds to double bonds.
-    add_double_bonds(cfg, &mut m, &mut r);
+    add_double_bonds(cfg, &mut m, &mut g.spare, &mut r);
     m
 }
+
+/// Random directions [`place_next_to`] tries per atom.
+const PLACEMENT_CANDIDATES: usize = 12;
+
+/// `next_u64` words one placement draws: a bond-length normal plus three
+/// normals per candidate direction, two words per Box–Muller normal.
+const PLACEMENT_WORDS: usize = 2 * (1 + 3 * PLACEMENT_CANDIDATES);
 
 /// Places a new atom bonded to `parent`, choosing among random directions
 /// the one furthest from existing atoms.
@@ -138,7 +263,7 @@ fn place_next_to(m: &Molecule, parent: usize, elem: Element, r: &mut StdRng) -> 
         + normal_with(r, 0.0, 0.02);
     let mut best = p.add(Vec3::new(bond_len, 0.0, 0.0));
     let mut best_score = f64::NEG_INFINITY;
-    for _ in 0..12 {
+    for _ in 0..PLACEMENT_CANDIDATES {
         let dir =
             Vec3::new(normal_with(r, 0.0, 1.0), normal_with(r, 0.0, 1.0), normal_with(r, 0.0, 1.0))
                 .normalized();
@@ -158,66 +283,62 @@ fn place_next_to(m: &Molecule, parent: usize, elem: Element, r: &mut StdRng) -> 
     best
 }
 
-/// BFS graph distances from one atom.
-fn graph_distances(m: &Molecule, from: usize) -> Vec<usize> {
-    let adj = m.adjacency();
-    let mut dist = vec![usize::MAX; m.num_atoms()];
-    dist[from] = 0;
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
+/// The graph-only stand-in for [`place_next_to`]: leaves `r` exactly where
+/// a placement would and places nothing.
+fn skip_placement(_m: &Molecule, _parent: usize, _elem: Element, r: &mut StdRng) -> Vec3 {
+    for _ in 0..PLACEMENT_WORDS {
+        r.next_u64();
     }
-    dist
+    Vec3::ZERO
 }
 
-fn close_rings(cfg: &MolGenConfig, m: &mut Molecule, r: &mut StdRng) {
+/// Graph distances a ring closure may span: 4..=6 bonds closes 5- to
+/// 7-membered rings.
+const RING_CLOSURE_SPAN: std::ops::RangeInclusive<usize> = 4..=6;
+
+fn close_rings(
+    cfg: &MolGenConfig,
+    m: &mut Molecule,
+    g: &mut BondGraph,
+    partners: &mut Vec<usize>,
+    r: &mut StdRng,
+) {
     let max_rings = (m.num_atoms() / 6).max(1);
     let mut rings = 0usize;
     for a in 0..m.num_atoms() {
         if rings >= max_rings {
             break;
         }
-        let used = m.used_valence();
-        if used[a] >= m.atoms[a].element.max_valence() {
+        if g.spare[a] == 0 || m.atoms[a].element.is_halogen() {
             continue;
         }
-        let dist = graph_distances(m, a);
-        let partners: Vec<usize> = (a + 1..m.num_atoms())
-            .filter(|&b| {
-                (4..=6).contains(&dist[b])
-                    && used[b] < m.atoms[b].element.max_valence()
-                    && m.atoms[b].element != Element::H
-                    && !m.atoms[b].element.is_halogen()
-                    && !m.atoms[a].element.is_halogen()
-            })
-            .collect();
+        g.measure_from(a, *RING_CLOSURE_SPAN.end());
+        partners.clear();
+        partners.extend((a + 1..m.num_atoms()).filter(|&b| {
+            RING_CLOSURE_SPAN.contains(&g.dist[b])
+                && g.spare[b] > 0
+                && m.atoms[b].element != Element::H
+                && !m.atoms[b].element.is_halogen()
+        }));
         if partners.is_empty() || r.gen::<f64>() >= cfg.ring_closure_prob {
             continue;
         }
         let b = partners[r.gen_range(0..partners.len())];
         m.add_bond(a, b, BondOrder::Single);
+        g.add_single_bond(a, b);
         rings += 1;
     }
 }
 
-fn add_double_bonds(cfg: &MolGenConfig, m: &mut Molecule, r: &mut StdRng) {
-    for bi in 0..m.bonds.len() {
+fn add_double_bonds(cfg: &MolGenConfig, m: &mut Molecule, spare: &mut [usize], r: &mut StdRng) {
+    for bond in &mut m.bonds {
         if r.gen::<f64>() >= cfg.double_bond_prob {
             continue;
         }
-        let Bond { a, b, order } = m.bonds[bi];
-        if order != BondOrder::Single {
-            continue;
-        }
-        let used = m.used_valence();
-        let ok = |i: usize| used[i] < m.atoms[i].element.max_valence();
-        if ok(a) && ok(b) {
-            m.bonds[bi].order = BondOrder::Double;
+        if bond.order == BondOrder::Single && spare[bond.a] > 0 && spare[bond.b] > 0 {
+            bond.order = BondOrder::Double;
+            spare[bond.a] -= 1;
+            spare[bond.b] -= 1;
         }
     }
 }
@@ -391,28 +512,46 @@ pub struct Compound {
 }
 
 impl Compound {
+    /// Builds compound `index` of `library` with `generate`, seeded from
+    /// the campaign seed and the library's stream.
+    fn build(
+        library: Library,
+        index: u64,
+        campaign_seed: u64,
+        generate: impl FnOnce(&MolGenConfig, String, u64) -> Molecule,
+    ) -> Compound {
+        let id = CompoundId { library, index };
+        let seed = derive_seed(campaign_seed, library.stream() ^ index);
+        Compound { id, mol: generate(&library.gen_config(), id.to_string(), seed) }
+    }
+
     /// Deterministically materializes compound `index` of a library under a
     /// campaign seed.
     pub fn materialize(library: Library, index: u64, campaign_seed: u64) -> Compound {
-        let id = CompoundId { library, index };
-        let seed = derive_seed(campaign_seed, library.stream() ^ index);
-        let mol = generate_molecule(&library.gen_config(), id.to_string(), seed);
-        Compound { id, mol }
+        Compound::build(library, index, campaign_seed, generate_molecule)
     }
 
     /// Materializes the compound's topology only (see
     /// [`generate_topology`]): identical bond graph to
     /// [`Compound::materialize`], but with the unrelaxed conformer and no
-    /// partial charges. Orders of magnitude cheaper; the right form for
-    /// descriptor, filter and fingerprint work, which never reads
-    /// coordinates or charges. The only descriptor that differs is the
-    /// geometric `radius_of_gyration`, which no filter rule or ligand
-    /// score consumes.
+    /// partial charges. Orders of magnitude cheaper. The only descriptor
+    /// that differs is the geometric `radius_of_gyration`, which no filter
+    /// rule or ligand score consumes (the surrogate featurizer does read
+    /// it, from this form).
     pub fn materialize_topology(library: Library, index: u64, campaign_seed: u64) -> Compound {
-        let id = CompoundId { library, index };
-        let seed = derive_seed(campaign_seed, library.stream() ^ index);
-        let mol = generate_topology(&library.gen_config(), id.to_string(), seed);
-        Compound { id, mol }
+        Compound::build(library, index, campaign_seed, generate_topology)
+    }
+
+    /// Materializes the compound's bond graph only (see
+    /// [`generate_graph_only`]): name, elements and bonds bit-equal to
+    /// [`Compound::materialize_topology`], every `pos` left at
+    /// [`Vec3::ZERO`]. Cheaper again, because placing atoms is most of
+    /// what topology generation costs; the right form for rule filters,
+    /// circular fingerprints and routing keys, which read no coordinate.
+    /// Anything that reads the conformer (`radius_of_gyration`,
+    /// featurizers, docking) must use one of the positional forms.
+    pub fn materialize_graph_only(library: Library, index: u64, campaign_seed: u64) -> Compound {
+        Compound::build(library, index, campaign_seed, generate_graph_only)
     }
 
     /// The compound's LinNot (SMILES-like) structure string.
@@ -542,6 +681,88 @@ mod tests {
             let fb = Fingerprint::compute(&cfg, &topo.mol);
             assert_eq!(fa.words(), fb.words(), "fingerprints are topological");
         }
+    }
+
+    #[test]
+    fn graph_only_materialization_has_the_same_bond_graph() {
+        for lib in Library::ALL {
+            for campaign_seed in [7, 2021] {
+                for i in 0..500 {
+                    let topo = Compound::materialize_topology(lib, i, campaign_seed);
+                    let graph = Compound::materialize_graph_only(lib, i, campaign_seed);
+                    let at = format!("{} under seed {campaign_seed}", topo.id);
+                    assert_eq!(graph.id, topo.id);
+                    assert_eq!(graph.mol.name, topo.mol.name, "{at}");
+                    assert_eq!(graph.mol.bonds, topo.mol.bonds, "{at}");
+                    assert_eq!(graph.mol.num_atoms(), topo.mol.num_atoms(), "{at}");
+                    for (g, t) in graph.mol.atoms.iter().zip(&topo.mol.atoms) {
+                        assert_eq!(g.element, t.element, "{at}");
+                        assert_eq!(g.pos, Vec3::ZERO, "{at}: graph-only atoms are not placed");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stream contract of [`generate_graph_only`]: skipping a
+    /// placement leaves the generator exactly where placing would.
+    #[test]
+    fn skipping_a_placement_consumes_the_words_a_placement_draws() {
+        for n in [1usize, 2, 30] {
+            let mut m = Molecule::new("m");
+            for i in 0..n {
+                m.add_atom(Atom::new(Element::C, Vec3::new(1.5 * i as f64, 0.3 * i as f64, 0.0)));
+            }
+            let mut placed = rng(n as u64);
+            let mut skipped = placed.clone();
+            place_next_to(&m, n - 1, Element::N, &mut placed);
+            assert_eq!(skip_placement(&m, n - 1, Element::N, &mut skipped), Vec3::ZERO);
+            assert_eq!(placed.next_u64(), skipped.next_u64(), "{n}-atom molecule");
+        }
+    }
+
+    #[test]
+    fn no_element_outgrows_the_neighbour_table() {
+        let widest = Element::ALL.iter().map(|e| e.max_valence()).max();
+        assert_eq!(widest, Some(MAX_DEGREE));
+    }
+
+    /// Folds every generated bit of a molecule — element, conformer
+    /// coordinates, partial charge and the full bond list — into `h`.
+    fn fold_molecule(mut h: u64, m: &Molecule) -> u64 {
+        use dftensor::hash::fnv1a64_update;
+        for a in &m.atoms {
+            h = fnv1a64_update(h, &[a.element.atomic_number()]);
+            for v in [a.pos.x, a.pos.y, a.pos.z, a.partial_charge] {
+                h = fnv1a64_update(h, &v.to_bits().to_le_bytes());
+            }
+        }
+        for b in &m.bonds {
+            h = fnv1a64_update(h, &(b.a as u64).to_le_bytes());
+            h = fnv1a64_update(h, &(b.b as u64).to_le_bytes());
+            h = fnv1a64_update(h, &[b.order.valence() as u8]);
+        }
+        h
+    }
+
+    /// Pinned from the generator as it stood before its loops kept
+    /// valences and adjacency incrementally: the rewrite must not move one
+    /// bit of any element, coordinate, charge or bond.
+    #[test]
+    fn generated_molecules_match_the_golden_digests() {
+        let mut topology = dftensor::hash::FNV_OFFSET;
+        let mut relaxed = dftensor::hash::FNV_OFFSET;
+        for lib in Library::ALL {
+            for i in 0..500 {
+                topology =
+                    fold_molecule(topology, &Compound::materialize_topology(lib, i, 2021).mol);
+            }
+            for i in 0..50 {
+                relaxed = fold_molecule(relaxed, &Compound::materialize(lib, i, 2021).mol);
+            }
+        }
+        assert_eq!(topology, 0x8ae6_7848_44ef_066c, "materialize_topology drifted");
+        assert_eq!(relaxed, 0x7b00_047a_637b_ec27, "materialize drifted");
     }
 
     #[test]

@@ -67,6 +67,17 @@ pub struct Molecule {
     pub bonds: Vec<Bond>,
 }
 
+/// What one walk of the bond graph yields for the descriptors; see
+/// [`Molecule::graph_counts`].
+pub(crate) struct GraphCounts {
+    /// [`Molecule::num_rotatable_bonds`].
+    pub(crate) rotatable_bonds: usize,
+    /// [`Molecule::num_rotatable_bonds_strict`].
+    pub(crate) rotatable_bonds_strict: usize,
+    /// Connected components of the bond graph.
+    pub(crate) components: usize,
+}
+
 impl Molecule {
     /// Creates an empty named molecule.
     pub fn new(name: impl Into<String>) -> Self {
@@ -195,6 +206,12 @@ impl Molecule {
     /// Marks which bonds are bridges (removal disconnects the graph), via
     /// Tarjan's low-link algorithm. Bonds inside rings are not bridges.
     pub fn bridge_bonds(&self) -> Vec<bool> {
+        self.bridges_and_components().0
+    }
+
+    /// [`Molecule::bridge_bonds`] plus the number of connected components
+    /// its depth-first walk started (one DFS root each).
+    fn bridges_and_components(&self) -> (Vec<bool>, usize) {
         let n = self.atoms.len();
         let adj: Vec<Vec<(usize, usize)>> = {
             let mut a = vec![Vec::new(); n];
@@ -208,11 +225,13 @@ impl Molecule {
         let mut low = vec![usize::MAX; n];
         let mut is_bridge = vec![false; self.bonds.len()];
         let mut timer = 0usize;
+        let mut components = 0usize;
         // Iterative DFS to avoid recursion limits on long chains.
         for start in 0..n {
             if disc[start] != usize::MAX {
                 continue;
             }
+            components += 1;
             // stack entries: (node, parent_edge, neighbor cursor)
             let mut stack: Vec<(usize, usize, usize)> = vec![(start, usize::MAX, 0)];
             disc[start] = timer;
@@ -244,7 +263,7 @@ impl Molecule {
                 }
             }
         }
-        is_bridge
+        (is_bridge, components)
     }
 
     /// Per-atom heavy degree: bonds to non-hydrogen neighbours only. For
@@ -286,20 +305,7 @@ impl Molecule {
     /// uses the **heavy** degree, so explicit hydrogens cannot promote a
     /// terminal methyl into a rotor.
     pub fn num_rotatable_bonds(&self) -> usize {
-        let bridges = self.bridge_bonds();
-        let degrees = self.heavy_degrees();
-        self.bonds
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                bridges[*i]
-                    && b.order == BondOrder::Single
-                    && degrees[b.a] > 1
-                    && degrees[b.b] > 1
-                    && self.atoms[b.a].element != Element::H
-                    && self.atoms[b.b].element != Element::H
-            })
-            .count()
+        self.graph_counts().rotatable_bonds
     }
 
     /// Strict rotatable-bond count: [`Molecule::num_rotatable_bonds`]
@@ -308,7 +314,14 @@ impl Molecule {
     /// rules and RDKit's strict pattern use. Kept separate from the Vina
     /// definition so docking torsion penalties are unaffected.
     pub fn num_rotatable_bonds_strict(&self) -> usize {
-        let bridges = self.bridge_bonds();
+        self.graph_counts().rotatable_bonds_strict
+    }
+
+    /// Both rotor conventions and the component count from one bridge walk
+    /// and one heavy-degree pass, for callers that want more than one of
+    /// them (`Descriptors::compute`).
+    pub(crate) fn graph_counts(&self) -> GraphCounts {
+        let (bridges, components) = self.bridges_and_components();
         let degrees = self.heavy_degrees();
         // Carbons that carry a double-bonded oxygen (carbonyl-like).
         let mut carbonyl_c = vec![false; self.atoms.len()];
@@ -328,19 +341,22 @@ impl Molecule {
             (ea == Element::C && carbonyl_c[a] && eb == Element::N)
                 || (eb == Element::C && carbonyl_c[b] && ea == Element::N)
         };
-        self.bonds
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                bridges[*i]
-                    && b.order == BondOrder::Single
-                    && degrees[b.a] > 1
-                    && degrees[b.b] > 1
-                    && self.atoms[b.a].element != Element::H
-                    && self.atoms[b.b].element != Element::H
-                    && !amide_like(b.a, b.b)
-            })
-            .count()
+        let mut counts = GraphCounts { rotatable_bonds: 0, rotatable_bonds_strict: 0, components };
+        for (i, b) in self.bonds.iter().enumerate() {
+            if bridges[i]
+                && b.order == BondOrder::Single
+                && degrees[b.a] > 1
+                && degrees[b.b] > 1
+                && self.atoms[b.a].element != Element::H
+                && self.atoms[b.b].element != Element::H
+            {
+                counts.rotatable_bonds += 1;
+                if !amide_like(b.a, b.b) {
+                    counts.rotatable_bonds_strict += 1;
+                }
+            }
+        }
+        counts
     }
 
     /// Crude cLogP-style lipophilicity descriptor: hydrophobic atoms add,

@@ -2,13 +2,25 @@
 //! compound libraries.
 //!
 //! The pipeline walks a library in bounded-memory chunks. Each chunk is
-//! processed in two pooled passes — descriptors + rule filter first, then
-//! fingerprints + ligand score for the survivors only — and folded into
-//! the running [`FunnelStats`]/[`RejectionTally`] serially in index
-//! order. Because [`dfpool::Pool::parallel_map`] returns results in item
-//! order and the folds are serial left-to-right, every output (records,
-//! tallies, top-k ranking) is bit-identical at any lane count; the
-//! `chem_bench` binary asserts this across 1/2/4/8 lanes.
+//! processed in two pooled passes and folded into the running
+//! [`FunnelStats`]/[`RejectionTally`] serially in index order:
+//!
+//! 1. **Every compound, no coordinates.** The bond graph only
+//!    ([`Compound::materialize_graph_only`]) → descriptors → rule filter.
+//!    No rule reads a coordinate, and most compounds stop here, so no atom
+//!    is placed for them.
+//! 2. **Survivors only, with coordinates.** The positional topology
+//!    ([`Compound::materialize_topology`]) → fingerprint → ligand score,
+//!    plus the one descriptor that reads the conformer,
+//!    `radius_of_gyration`, which replaces the placeholder pass 1 left.
+//!
+//! The two materialization forms build bit-equal bond graphs (see
+//! [`crate::genmol::generate_graph_only`]), so every record equals the one
+//! computed from the positional form alone. Because
+//! [`dfpool::Pool::parallel_map`] returns results in item order and the
+//! folds are serial left-to-right, every output (records, tallies, top-k
+//! ranking) is bit-identical at any lane count; the `chem_bench` binary
+//! asserts this across 1/2/4/8 lanes.
 //!
 //! No pocket, grid, or docking pose is involved anywhere here: this is
 //! the cheap outermost ring of the screening funnel (see
@@ -177,8 +189,11 @@ pub fn ligand_score(d: &Descriptors, fp: &Fingerprint) -> f64 {
 ///
 /// Runs on the current [`dfpool`] pool. Peak memory is bounded by
 /// `chunk_size` (descriptor pass) plus the surviving fraction of one
-/// chunk (fingerprint pass); molecules themselves are rematerialized per
-/// pass and never retained across items.
+/// chunk (fingerprint pass). Molecules are never retained across items:
+/// pass 1 builds each compound's bond graph without coordinates, and
+/// pass 2 rematerializes only the survivors, this time with the unrelaxed
+/// conformer, which is where each record's `radius_of_gyration` is read.
+/// Descriptors and verdicts are carried from pass 1, not recomputed.
 pub fn screen_library_with(
     cfg: &ScreenConfig,
     mut sink: impl FnMut(&ScreenRecord),
@@ -193,11 +208,13 @@ pub fn screen_library_with(
     while start < cfg.num_compounds {
         let len = (cfg.num_compounds - start).min(cfg.chunk_size as u64) as usize;
 
-        // Pass 1: materialize + descriptors + rule filter.
+        // Pass 1: bond graph + descriptors + rule filter. Nothing here
+        // reads a coordinate (the radius of gyration comes out 0 and is
+        // replaced in pass 2).
         let t0 = Instant::now();
         let verdicts: Vec<(Descriptors, Verdict)> = pool.parallel_map(len, 256, |i| {
             let c =
-                Compound::materialize_topology(cfg.library, start + i as u64, cfg.campaign_seed);
+                Compound::materialize_graph_only(cfg.library, start + i as u64, cfg.campaign_seed);
             let d = Descriptors::compute(&c.mol);
             let v = cfg.filter.apply(&d);
             (d, v)
@@ -206,31 +223,31 @@ pub fn screen_library_with(
 
         let survivors: Vec<usize> = (0..len).filter(|&i| verdicts[i].1.passed).collect();
 
-        // Pass 2: rematerialize survivors, fingerprint and score them.
+        // Pass 2: rematerialize survivors with coordinates; fingerprint
+        // and score them and read the conformer's radius of gyration.
         let t1 = Instant::now();
-        let scored: Vec<(Fingerprint, f64)> = pool.parallel_map(survivors.len(), 64, |si| {
+        let scored: Vec<(Fingerprint, f64, f64)> = pool.parallel_map(survivors.len(), 64, |si| {
             let i = survivors[si];
             let c =
                 Compound::materialize_topology(cfg.library, start + i as u64, cfg.campaign_seed);
             let fp = Fingerprint::compute(&cfg.fingerprint, &c.mol);
             let score = ligand_score(&verdicts[i].0, &fp);
-            (fp, score)
+            (fp, score, c.mol.radius_of_gyration())
         });
         dftrace::observe_us("chem.fp.chunk_us", t1.elapsed().as_micros() as u64);
 
         // Serial index-order fold: deterministic regardless of lanes.
         let mut chunk_hits = 0u64;
-        for (si, &i) in survivors.iter().enumerate() {
-            let (fp, score) = &scored[si];
-            if *score <= cfg.hit_threshold {
+        for (&i, (fingerprint, score, radius_of_gyration)) in survivors.iter().zip(scored) {
+            if score <= cfg.hit_threshold {
                 chunk_hits += 1;
             }
             let record = ScreenRecord {
                 index: start + i as u64,
                 verdict: verdicts[i].1,
-                descriptors: verdicts[i].0,
-                fingerprint: fp.clone(),
-                score: *score,
+                descriptors: Descriptors { radius_of_gyration, ..verdicts[i].0 },
+                fingerprint,
+                score,
             };
             sink(&record);
         }
@@ -345,6 +362,77 @@ mod tests {
             last = Some(r.index);
         });
         assert_eq!(funnel.fingerprinted, funnel.passed_filter);
+    }
+
+    /// Everything a record carries, floats as bit patterns.
+    type RecordBits = (u64, Verdict, [u64; 13], Vec<u64>, u64);
+
+    fn record_bits(r: &ScreenRecord) -> RecordBits {
+        let d = &r.descriptors;
+        let descriptors = [
+            d.molecular_weight.to_bits(),
+            d.heavy_atoms as u64,
+            d.carbons as u64,
+            d.rotatable_bonds as u64,
+            d.rotatable_bonds_strict as u64,
+            d.rigid_bonds as u64,
+            d.hbond_donors as u64,
+            d.hbond_acceptors as u64,
+            d.logp.to_bits(),
+            d.tpsa.to_bits(),
+            d.ring_count as u64,
+            d.fsp3.to_bits(),
+            d.radius_of_gyration.to_bits(),
+        ];
+        (r.index, r.verdict, descriptors, r.fingerprint.words().to_vec(), r.score.to_bits())
+    }
+
+    /// The screen builds pass 1 from the coordinate-free bond graph; its
+    /// record stream must equal the one built compound by compound from
+    /// the positional topology alone.
+    #[test]
+    fn record_stream_equals_the_per_compound_public_calls() {
+        let mut cfg = ScreenConfig::new(Library::Chembl, 700, 2021);
+        let mut records = Vec::new();
+        let mut tally = RejectionTally::for_filter(&cfg.filter);
+        let mut funnel = FunnelStats::default();
+        for index in 0..cfg.num_compounds {
+            let c = Compound::materialize_topology(cfg.library, index, cfg.campaign_seed);
+            let descriptors = Descriptors::compute(&c.mol);
+            let verdict = cfg.filter.apply(&descriptors);
+            tally.record(&verdict);
+            funnel.evaluated += 1;
+            if !verdict.passed {
+                continue;
+            }
+            let fingerprint = Fingerprint::compute(&cfg.fingerprint, &c.mol);
+            let score = ligand_score(&descriptors, &fingerprint);
+            funnel.passed_filter += 1;
+            funnel.fingerprinted += 1;
+            funnel.hits += u64::from(score <= cfg.hit_threshold);
+            records.push(record_bits(&ScreenRecord {
+                index,
+                verdict,
+                descriptors,
+                fingerprint,
+                score,
+            }));
+        }
+        assert!(records.len() > 100 && records.len() < 600, "{} survivors", records.len());
+
+        for chunk_size in [64usize, 257] {
+            cfg.chunk_size = chunk_size;
+            funnel.chunks = cfg.num_compounds.div_ceil(chunk_size as u64);
+            for lanes in [1usize, 2, 4] {
+                let mut streamed = Vec::new();
+                let (f, t) = dfpool::Pool::new(lanes)
+                    .install(|| screen_library_with(&cfg, |r| streamed.push(record_bits(r))));
+                let at = format!("chunk {chunk_size}, {lanes} lanes");
+                assert_eq!(streamed, records, "{at}");
+                assert_eq!(t, tally, "{at}");
+                assert_eq!(f, funnel, "{at}");
+            }
+        }
     }
 
     #[test]

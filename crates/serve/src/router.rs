@@ -150,10 +150,12 @@ impl HashRing {
 /// (`dfchem::Fingerprint::canonical_bytes`). Content-addressed — two ids
 /// that materialize to the same topology share a key, so they share a
 /// home shard and a cache line — and RNG-free, so the key is a pure
-/// function of `(id, campaign_seed)`.
+/// function of `(id, campaign_seed)`. The fingerprint reads no coordinate,
+/// so the compound is materialized as its bond graph only (bit-equal to
+/// the positional topology's, hence the same key).
 pub fn routing_key(id: CompoundId, campaign_seed: u64) -> u64 {
     let compound =
-        dfchem::genmol::Compound::materialize_topology(id.library, id.index, campaign_seed);
+        dfchem::genmol::Compound::materialize_graph_only(id.library, id.index, campaign_seed);
     let fp = dfchem::Fingerprint::compute(&dfchem::FingerprintConfig::default(), &compound.mol);
     let mut bytes = Vec::new();
     fp.canonical_bytes(&mut bytes);
@@ -324,6 +326,23 @@ mod tests {
         assert_eq!(w.bias(11), 3);
         assert_eq!(w.bias(14), 12);
         assert_eq!(WatermarkConfig::disabled().bias(usize::MAX), 0);
+    }
+
+    /// The key is built from the coordinate-free bond graph; it must be
+    /// the key of the positional topology's fingerprint.
+    #[test]
+    fn routing_keys_are_those_of_the_positional_topology() {
+        for library in Library::ALL {
+            for index in 0..100 {
+                let c = dfchem::genmol::Compound::materialize_topology(library, index, 11);
+                let fp =
+                    dfchem::Fingerprint::compute(&dfchem::FingerprintConfig::default(), &c.mol);
+                let mut bytes = Vec::new();
+                fp.canonical_bytes(&mut bytes);
+                let key = dftensor::rng::derive_seed(fnv1a64(&bytes), RING_SALT);
+                assert_eq!(routing_key(c.id, 11), key, "{}", c.id);
+            }
+        }
     }
 
     #[test]
