@@ -225,7 +225,7 @@ fn run() {
         ("pack B panels", "tensor.gemm.pack_b"),
         ("gemm compute", "tensor.gemm.compute"),
         ("micro-kernel", "tensor.gemm.kernel"),
-        ("im2col", "tensor.conv3d.im2col"),
+        ("pad input", "tensor.conv3d.pad"),
         ("col2im", "tensor.conv3d.col2im"),
         ("unpack/transpose", "tensor.conv3d.unpack"),
     ];

@@ -6,7 +6,7 @@
 //! poses across chains are deduplicated by RMSD and the top `num_poses`
 //! (≤ 10, as in ConveyorLC) are returned, ranked by score.
 
-use crate::vina::vina_score;
+use crate::vina::vina_score_with_rotors;
 use dfchem::geom::{Rotation, Vec3};
 use dfchem::mol::Molecule;
 use dfchem::pocket::BindingPocket;
@@ -60,9 +60,11 @@ pub fn dock(cfg: &DockConfig, ligand: &Molecule, pocket: &BindingPocket, seed: u
     // Each chain owns an RNG derived from (seed, chain) and never touches
     // shared state, so the chains fan out over the current pool; collecting
     // by chain index keeps `candidates` bit-identical to the serial loop.
+    let num_rotors = ligand.num_rotatable_bonds();
     let candidates: Vec<(Molecule, f64)> =
-        dfpool::current()
-            .parallel_map(cfg.mc_restarts, 1, |chain| run_chain(cfg, ligand, pocket, seed, chain));
+        dfpool::current().parallel_map(cfg.mc_restarts, 1, |chain| {
+            run_chain(cfg, ligand, num_rotors, pocket, seed, chain)
+        });
     // Rank and deduplicate by RMSD.
     let mut candidates = candidates;
     candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -83,6 +85,7 @@ pub fn dock(cfg: &DockConfig, ligand: &Molecule, pocket: &BindingPocket, seed: u
 fn run_chain(
     cfg: &DockConfig,
     ligand: &Molecule,
+    num_rotors: usize,
     pocket: &BindingPocket,
     seed: u64,
     chain: usize,
@@ -105,7 +108,7 @@ fn run_chain(
     pose.translate(jitter);
 
     let mut best = pose.clone();
-    let mut best_score = vina_score(&best, pocket).total;
+    let mut best_score = vina_score_with_rotors(&best, pocket, num_rotors).total;
     let mut cur = pose;
     let mut cur_score = best_score;
     for step in 0..cfg.mc_steps {
@@ -125,7 +128,7 @@ fn run_chain(
         if next.centroid().norm() > pocket.radius {
             continue;
         }
-        let next_score = vina_score(&next, pocket).total;
+        let next_score = vina_score_with_rotors(&next, pocket, num_rotors).total;
         let accept =
             next_score < cur_score || r.gen::<f64>() < ((cur_score - next_score) / t).exp();
         if accept {
@@ -155,6 +158,7 @@ fn random_rotation(r: &mut impl Rng) -> Rotation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vina::vina_score;
     use dfchem::genmol::{generate_molecule, MolGenConfig};
     use dfchem::pocket::TargetSite;
 

@@ -38,7 +38,18 @@ pub struct VinaScore {
 
 /// Scores one ligand pose against the pocket.
 pub fn vina_score(ligand: &Molecule, pocket: &BindingPocket) -> VinaScore {
-    let mut s = VinaScore { num_rotors: ligand.num_rotatable_bonds(), ..Default::default() };
+    vina_score_with_rotors(ligand, pocket, ligand.num_rotatable_bonds())
+}
+
+/// [`vina_score`] with the ligand's rotatable-bond count supplied by the
+/// caller: the rigid-body search scores hundreds of poses of one bond
+/// graph, and the count (a bridge walk) depends on the graph alone.
+pub(crate) fn vina_score_with_rotors(
+    ligand: &Molecule,
+    pocket: &BindingPocket,
+    num_rotors: usize,
+) -> VinaScore {
+    let mut s = VinaScore { num_rotors, ..Default::default() };
     for la in &ligand.atoms {
         for pa in &pocket.atoms {
             let d = la.pos.dist(pa.pos);

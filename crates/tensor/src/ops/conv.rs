@@ -5,39 +5,52 @@
 //! 3D-CNN downsamples with max-pooling, not strided convs); zero padding is
 //! configurable so `pad = k/2` gives "same" spatial dims for odd kernels.
 //!
-//! All three passes are lowered onto the packed GEMM in
-//! `ops::gemm` via im2col/col2im with the contraction (K) axis
-//! ordered `(ic, fz, fy, fx)`, and are **batched**: batch elements are
-//! grouped into chunks bounded by [`COL_CHUNK_ELEMS`] and each chunk runs
-//! *one* GEMM over the stacked `[chunk·spatial, ...]` matrices — a
-//! micro-batch of compounds costs one GEMM per layer, not one per
-//! compound:
+//! All three passes are lowered onto the packed GEMM in `ops::gemm` with
+//! the contraction (K) axis ordered `(ic, fz, fy, fx)`, and are
+//! **batched**: a micro-batch of compounds costs one GEMM per layer, not
+//! one per compound. Forward and the weight gradient never write the
+//! column matrix `colT[(bn, s), (ic, fz, fy, fx)]` of the textbook im2col
+//! lowering. They make one zero-padded copy `xpad[N, C, D+2p, H+2p, W+2p]`
+//! of the input (padding is an explicit `+0.0`), in which
 //!
-//! * **forward** — an im2row matrix `colT[chunk·spatial, C·kd·kh·kw]`
-//!   (zero padding written as explicit zeros) is multiplied against the
-//!   kernel viewed as `[O, C·kd·kh·kw]` (`C = colT · Wᵀ`), then the
-//!   spatial-major product is transposed per sample into the
-//!   `[O, spatial]` tensor layout.
+//! ```text
+//! colT[i, k] = xpad[off(i) + koff(k)]
+//! off(bn, zd, yh, xw)  = bn·C·psp + (zd·Hp + yh)·Wp + xw      (row table)
+//! koff(ic, fz, fy, fx) = ic·psp   + (fz·Hp + fy)·Wp + fx      (tap table)
+//! ```
+//!
+//! with `psp = Dp·Hp·Wp`, and hand `ops::gemm::gemm_with` an A packer
+//! ([`Cols::pack`]) that gathers each `MC × KC` block of `MR`-row panels
+//! straight from `xpad` through the two tables ([`Offsets`], filled per
+//! block into stack arrays): one `MR`-wide contiguous copy per k step when
+//! a panel's rows are neighbours in `xpad`, element by element otherwise
+//! (x-row ends, sample boundaries, the zero-filled tail).
+//!
+//! * **forward** — `outT = colT · Wᵀ`: A rows walk the row table, k the
+//!   tap table; the spatial-major product is transposed per sample into
+//!   the `[O, spatial]` tensor layout.
+//! * **backward-weight** — `gWᵀ = colTᵀ · goutT`: the same packer with the
+//!   tables swapped (A rows walk taps, k walks `(bn, s)`), against the
+//!   stacked spatial-major gradient; the ascending-k fold visits `(bn, s)`
+//!   in exactly the reference order, and the product is transposed into
+//!   `[O, C·kd·kh·kw]`.
 //! * **backward-input** — `gcolT = goutT · Wmat` recovers per-tap input
-//!   gradients for the whole chunk at once, scattered back by a per-sample
-//!   col2im pass that walks spatial positions in ascending order per input
-//!   channel.
-//! * **backward-weight** — `gW (+)= goutTᵀ · colT` with the stacked
-//!   `[chunk·spatial, O]` gradient as the transposed A operand: the GEMM's
-//!   ascending-k fold walks `(bn, s)` in exactly the reference order, and
-//!   successive chunks continue the fold via the accumulate flag.
+//!   gradients (this one *is* a column matrix, so the batch runs in chunks
+//!   of whole samples bounded by [`COL_CHUNK_ELEMS`]), scattered back by a
+//!   per-sample col2im pass that walks spatial positions in ascending
+//!   order per input channel.
 //!
-//! Batching changes *which* GEMM produces each output element but not the
-//! element's fold: every output element still keeps a single ascending-k
-//! accumulator, so all three passes are bit-identical to
-//! [`crate::ops::reference`], across pool thread counts **and** across
-//! batch-chunk boundaries (locked by the kernel proptests and
-//! `tests/parallel_determinism.rs`). Scratch matrices come from the
+//! The gathered panels are byte-for-byte what packing a materialized
+//! `colT` produces, so the micro-kernel sees the same operands and every
+//! output element keeps its single ascending-k accumulator: all three
+//! passes are bit-identical to [`crate::ops::reference`], across pool
+//! thread counts **and** batch sizes (locked by the kernel proptests and
+//! `tests/parallel_determinism.rs`). Scratch buffers come from the
 //! thread-local [`crate::scratch`] arena, so steady-state training and
 //! `dfserve` micro-batches do not allocate here.
 
 use crate::graph::{Graph, VarId};
-use crate::ops::gemm::{gemm, Layout};
+use crate::ops::gemm::{gemm, gemm_with, pack_b, Layout, KC, MC, MR};
 use crate::scratch::{self, Slot};
 use crate::tensor::Tensor;
 
@@ -46,16 +59,16 @@ fn out_dim(input: usize, k: usize, pad: usize) -> usize {
     input + 2 * pad + 1 - k
 }
 
-/// Below this many moved elements the im2col/col2im passes run inline on
-/// the calling thread — they are memcpy-bound, so tiny grids lose more to
-/// band hand-off than the copy costs.
+/// Below this many moved elements the col2im pass runs inline on the
+/// calling thread — it is memcpy-bound, so tiny grids lose more to band
+/// hand-off than the copy costs.
 const PAR_COPY_CUTOFF_ELEMS: usize = 1 << 20;
 
-/// Ceiling (in f32 elements, ~32 MiB) on the stacked column matrix one
-/// batched GEMM covers; batches whose `spatial × kdim` footprint exceeds
-/// it are processed in chunks of whole samples (at least one). Keeps the
-/// thread-local scratch arena bounded while letting every realistic
-/// serving micro-batch (small grids) run as a single GEMM per layer.
+/// Ceiling (in f32 elements, ~32 MiB) on the stacked per-tap gradient
+/// matrix one input-gradient GEMM produces; batches whose `spatial × kdim`
+/// footprint exceeds it are processed in chunks of whole samples (at least
+/// one). Keeps the thread-local scratch arena bounded. The other two
+/// passes write no such matrix and run the whole batch as one GEMM.
 const COL_CHUNK_ELEMS: usize = 8 << 20;
 
 /// Number of whole samples per batched-GEMM chunk for a per-sample
@@ -64,7 +77,7 @@ fn chunk_samples(n: usize, per_sample: usize) -> usize {
     (COL_CHUNK_ELEMS / per_sample.max(1)).clamp(1, n.max(1))
 }
 
-/// Static conv geometry shared by the im2row/col2im passes.
+/// Static conv geometry shared by the packers and the col2im pass.
 #[derive(Clone, Copy)]
 struct Geom {
     c: usize,
@@ -93,62 +106,147 @@ impl Geom {
     fn in_spatial(&self) -> usize {
         self.d * self.h * self.w
     }
+    /// Padded input dims `(Dp, Hp, Wp)`.
+    fn padded(&self) -> (usize, usize, usize) {
+        (self.d + 2 * self.pad, self.h + 2 * self.pad, self.w + 2 * self.pad)
+    }
+    /// Padded volume of one sample, `C·psp`.
+    fn padded_sample(&self) -> usize {
+        let (dp, hp, wp) = self.padded();
+        self.c * dp * hp * wp
+    }
+    /// `off(i)` over stacked output positions `i = (bn, zd, yh, xw)`.
+    fn rows(&self) -> Offsets {
+        let (_, hp, wp) = self.padded();
+        Offsets { dims: [self.od, self.oh, self.ow], strides: [self.padded_sample(), hp * wp, wp] }
+    }
+    /// `koff(k)` over taps `k = (ic, fz, fy, fx)`.
+    fn taps(&self) -> Offsets {
+        let (dp, hp, wp) = self.padded();
+        Offsets { dims: [self.kd, self.kh, self.kw], strides: [dp * hp * wp, hp * wp, wp] }
+    }
     /// Decomposes a flat output spatial index into `(zd, yh, xw)`.
     fn unflatten(&self, s: usize) -> (usize, usize, usize) {
         (s / (self.oh * self.ow), (s / self.ow) % self.oh, s % self.ow)
     }
 }
 
-/// Fills `colT[spatial, kdim]` for one batch element `xb = x[bn]`
-/// (`[C, D, H, W]` contiguous). Row `s` holds the receptive field of output
-/// position `s` in `(ic, fz, fy, fx)` order, with out-of-bounds taps as
-/// explicit zeros; the innermost `fx` run is a contiguous copy from the
-/// input row with clamped edges.
-fn im2row(colt: &mut [f32], xb: &[f32], g: Geom) {
-    let kdim = g.kdim();
-    let pool = dfpool::current();
-    let lanes = pool.threads().min(dfpool::host_parallelism()).max(1);
-    let min_rows = if g.spatial() * kdim < PAR_COPY_CUTOFF_ELEMS {
-        g.spatial()
-    } else {
-        (65_536 / kdim.max(1)).max(1).max(g.spatial().div_ceil(lanes))
-    };
-    pool.parallel_rows(colt, kdim, min_rows, |first, band| {
-        for (ds, row) in band.chunks_mut(kdim).enumerate() {
-            let (zd, yh, xw) = g.unflatten(first + ds);
-            let ix0 = xw as isize - g.pad as isize;
-            let lo = ((-ix0).max(0) as usize).min(g.kw);
-            let hi = ((g.w as isize - ix0).max(0) as usize).min(g.kw);
-            let mut kk = 0;
-            for ic in 0..g.c {
-                let xc = &xb[ic * g.in_spatial()..(ic + 1) * g.in_spatial()];
-                for fz in 0..g.kd {
-                    let iz = zd as isize + fz as isize - g.pad as isize;
-                    if iz < 0 || iz >= g.d as isize {
-                        row[kk..kk + g.kh * g.kw].fill(0.0);
-                        kk += g.kh * g.kw;
-                        continue;
-                    }
-                    let zoff = (iz as usize) * g.h * g.w;
-                    for fy in 0..g.kh {
-                        let iy = yh as isize + fy as isize - g.pad as isize;
-                        let dst = &mut row[kk..kk + g.kw];
-                        kk += g.kw;
-                        if iy < 0 || iy >= g.h as isize {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        dst[..lo].fill(0.0);
-                        if lo < hi {
-                            let src = zoff + (iy as usize) * g.w + (ix0 + lo as isize) as usize;
-                            dst[lo..hi].copy_from_slice(&xc[src..src + (hi - lo)]);
-                        }
-                        dst[lo.max(hi)..].fill(0.0);
+/// A mixed-radix index → `xpad` offset table: index `i` has digits
+/// `(q, a, b, c)` over `[_, dims[0], dims[1], dims[2]]` and maps to
+/// `q·strides[0] + a·strides[1] + b·strides[2] + c`. [`Geom::rows`] and
+/// [`Geom::taps`] are the two instances (module doc).
+struct Offsets {
+    dims: [usize; 3],
+    strides: [usize; 3],
+}
+
+impl Offsets {
+    /// `out[j]` = offset of index `start + j`; one decode per innermost
+    /// run, so a block may start anywhere.
+    fn fill(&self, start: usize, out: &mut [usize]) {
+        let [d1, d2, d3] = self.dims;
+        let mut j = 0;
+        while j < out.len() {
+            let (c, t) = ((start + j) % d3, (start + j) / d3);
+            let (b, t) = (t % d2, t / d2);
+            let base =
+                t / d1 * self.strides[0] + t % d1 * self.strides[1] + b * self.strides[2] + c;
+            let run = (d3 - c).min(out.len() - j);
+            for (dj, o) in out[j..j + run].iter_mut().enumerate() {
+                *o = base + dj;
+            }
+            j += run;
+        }
+    }
+}
+
+/// Writes the zero-padded copy of `x[N, C, D, H, W]` into
+/// `xpad[N, C, Dp, Hp, Wp]`, every element (arena contents are stale).
+fn pad_input(xpad: &mut [f32], x: &[f32], g: Geom) {
+    let (dp, hp, wp) = g.padded();
+    xpad.fill(0.0);
+    for (q, plane) in x.chunks_exact(g.h * g.w).enumerate() {
+        let base = (((q / g.d * dp + q % g.d + g.pad) * hp) + g.pad) * wp + g.pad;
+        for (y, row) in plane.chunks_exact(g.w).enumerate() {
+            xpad[base + y * wp..base + y * wp + g.w].copy_from_slice(row);
+        }
+    }
+}
+
+/// `colT` (`lanes` = row table, `ks` = tap table) or `colTᵀ` (swapped) as
+/// a GEMM A operand that exists only as packed panels.
+struct Cols<'a> {
+    xpad: &'a [f32],
+    lanes: Offsets,
+    ks: Offsets,
+}
+
+impl Cols<'_> {
+    /// Rows `row0..row0+mcb` × k range `pc..pc+kcb`, gathered from `xpad`
+    /// into `ops::gemm::pack_a`'s panel layout.
+    fn pack(&self, row0: usize, mcb: usize, pc: usize, kcb: usize, apack: &mut [f32]) {
+        let (mut lanes, mut ks) = ([0; MC], [0; KC]);
+        self.lanes.fill(row0, &mut lanes[..mcb]);
+        self.ks.fill(pc, &mut ks[..kcb]);
+        for (panel, l) in apack.chunks_exact_mut(kcb * MR).zip(lanes[..mcb].chunks(MR)) {
+            let steps = panel.chunks_exact_mut(MR).zip(&ks);
+            // Offsets strictly ascend along either table, so the span
+            // test says all MR lanes are neighbours in `xpad`.
+            if l.len() == MR && l[MR - 1] - l[0] == MR - 1 {
+                for (dst, &k) in steps {
+                    dst.copy_from_slice(&self.xpad[l[0] + k..l[0] + k + MR]);
+                }
+            } else {
+                for (dst, &k) in steps {
+                    for (r, d) in dst.iter_mut().enumerate() {
+                        *d = l.get(r).map_or(0.0, |&lane| self.xpad[lane + k]);
                     }
                 }
             }
         }
+    }
+}
+
+/// The two column-matrix GEMMs over the batch `x[n, C, D, H, W]`, `colT`
+/// never written: forward (`transposed == false`) is `colT · bᵀ` with
+/// `b = W[o, kdim]`, the weight gradient (`true`) is `colTᵀ · b` with
+/// `b = goutT[(bn, s), o]`. Either `[m, o]` product lands in `dst`
+/// transposed — per sample into `[o, spatial]`, resp. whole into
+/// `[o, kdim]`.
+fn cols_gemm(x: &[f32], n: usize, g: Geom, transposed: bool, b: &[f32], o: usize, dst: &mut [f32]) {
+    let (rows, kdim) = (n * g.spatial(), g.kdim());
+    let (m, k, lanes, ks, layout, block) = if transposed {
+        (kdim, rows, g.taps(), g.rows(), Layout::Nn, kdim)
+    } else {
+        (rows, kdim, g.rows(), g.taps(), Layout::Nt, g.spatial())
+    };
+    dftrace::counter_add("tensor.conv3d.batched_gemms", 1);
+    scratch::with(Slot::PaddedInput, n * g.padded_sample(), |xpad| {
+        {
+            let _s = dftrace::span("tensor.conv3d.pad");
+            pad_input(xpad, x, g);
+        }
+        let cols = Cols { xpad, lanes, ks };
+        scratch::with(Slot::GemmOut, m * o, |prod| {
+            let pack_a =
+                |row0, mcb, pc, kcb, apack: &mut [f32]| cols.pack(row0, mcb, pc, kcb, apack);
+            gemm_with(m, k, o, prod, |bpack| pack_b(layout, b, k, o, bpack), &pack_a);
+            transpose_blocks(prod, dst, block, o);
+        });
     });
+}
+
+/// `dst[j, i] = src[i, j]` within each consecutive `[rows, cols]` block —
+/// the `[O, spatial]` tensor layout ⇄ the spatial-major GEMM layout.
+fn transpose_blocks(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    let _s = dftrace::span("tensor.conv3d.unpack");
+    for (sb, db) in src.chunks_exact(rows * cols).zip(dst.chunks_exact_mut(rows * cols)) {
+        for (i, srow) in sb.chunks_exact(cols).enumerate() {
+            for (j, &v) in srow.iter().enumerate() {
+                db[j * rows + i] = v;
+            }
+        }
+    }
 }
 
 /// Scatters `gcolT[spatial, kdim]` back into one batch element of the input
@@ -197,7 +295,7 @@ fn col2im_add(gxb: &mut [f32], gcolt: &[f32], g: Geom) {
     });
 }
 
-/// im2col-lowered forward convolution (no bias): input `[N,C,D,H,W]`,
+/// GEMM-lowered forward convolution (no bias): input `[N,C,D,H,W]`,
 /// kernel `[O,C,kd,kh,kw]`, stride 1. Public so the kernel proptests and
 /// `dfbench` can drive it directly against [`crate::ops::reference`];
 /// model code goes through [`Graph::conv3d`].
@@ -208,48 +306,11 @@ pub fn conv3d_forward(x: &Tensor, w: &Tensor, pad: usize) -> Tensor {
     assert_eq!(c, cw, "conv3d channel mismatch: input {c}, kernel {cw}");
     let (od, oh, ow) = (out_dim(d, kd, pad), out_dim(h, kh, pad), out_dim(wd, kw, pad));
     let g = Geom { c, d, h, w: wd, kd, kh, kw, od, oh, ow, pad };
-    let (kdim, s_sp) = (g.kdim(), g.spatial());
     let mut out = Tensor::zeros(&[n, o, od, oh, ow]);
-    let xd = x.data();
-    let wdta = w.data();
-    let bc_max = chunk_samples(n, s_sp * kdim);
-    let mut b0 = 0;
-    while b0 < n {
-        let bc = bc_max.min(n - b0);
-        dftrace::counter_add("tensor.conv3d.batched_gemms", 1);
-        scratch::with(Slot::Im2col, bc * s_sp * kdim, |colt| {
-            {
-                let _s = dftrace::span("tensor.conv3d.im2col");
-                for db in 0..bc {
-                    let bn = b0 + db;
-                    im2row(
-                        &mut colt[db * s_sp * kdim..(db + 1) * s_sp * kdim],
-                        &xd[bn * c * g.in_spatial()..(bn + 1) * c * g.in_spatial()],
-                        g,
-                    );
-                }
-            }
-            scratch::with(Slot::GemmOut, bc * s_sp * o, |outt| {
-                // outT[(bn,s), oc] = Σ_k colT[(bn,s), k] · W[oc, k] — one
-                // GEMM for the whole chunk, spatial-major so it tiles over
-                // the (large) stacked spatial axis, not O.
-                gemm(Layout::Nt, bc * s_sp, kdim, o, colt, wdta, outt, false);
-                let _s = dftrace::span("tensor.conv3d.unpack");
-                for db in 0..bc {
-                    let bn = b0 + db;
-                    let oblock = &mut out.data_mut()[bn * o * s_sp..(bn + 1) * o * s_sp];
-                    for (s, orow) in
-                        outt[db * s_sp * o..(db + 1) * s_sp * o].chunks_exact(o).enumerate()
-                    {
-                        for (oc, &v) in orow.iter().enumerate() {
-                            oblock[oc * s_sp + s] = v;
-                        }
-                    }
-                }
-            });
-        });
-        b0 += bc;
-    }
+    // outT[(bn,s), oc] = Σ_k colT[(bn,s), k] · W[oc, k] — one GEMM for the
+    // whole batch, spatial-major so it tiles over the (large) stacked
+    // spatial axis, not O.
+    cols_gemm(x.data(), n, g, false, w.data(), o, out.data_mut());
     out
 }
 
@@ -270,23 +331,12 @@ pub fn conv3d_backward_input(gout: &Tensor, w: &Tensor, xshape: &[usize], pad: u
         let bc = bc_max.min(n - b0);
         dftrace::counter_add("tensor.conv3d.batched_gemms", 1);
         scratch::with(Slot::GradT, bc * s_sp * o, |goutt| {
-            {
-                // Transpose each gout[bn] from [O, spatial] to spatial-major.
-                let _s = dftrace::span("tensor.conv3d.unpack");
-                for db in 0..bc {
-                    let gblock = &gd[(b0 + db) * o * s_sp..(b0 + db + 1) * o * s_sp];
-                    let gslab = &mut goutt[db * s_sp * o..(db + 1) * s_sp * o];
-                    for (s, grow) in gslab.chunks_exact_mut(o).enumerate() {
-                        for (oc, v) in grow.iter_mut().enumerate() {
-                            *v = gblock[oc * s_sp + s];
-                        }
-                    }
-                }
-            }
+            // Each gout[bn] from [O, spatial] to spatial-major.
+            transpose_blocks(&gd[b0 * o * s_sp..(b0 + bc) * o * s_sp], goutt, o, s_sp);
             scratch::with(Slot::GemmOut, bc * s_sp * kdim, |gcolt| {
                 // gcolT[(bn,s), k] = Σ_oc goutT[(bn,s), oc] · W[oc, k] —
                 // one GEMM per chunk.
-                gemm(Layout::Nn, bc * s_sp, o, kdim, goutt, wdta, gcolt, false);
+                gemm(Layout::Nn, bc * s_sp, o, kdim, goutt, wdta, gcolt);
                 let _s = dftrace::span("tensor.conv3d.col2im");
                 for db in 0..bc {
                     let bn = b0 + db;
@@ -303,60 +353,22 @@ pub fn conv3d_backward_input(gout: &Tensor, w: &Tensor, xshape: &[usize], pad: u
     gx
 }
 
-/// Gradient w.r.t. the kernel: re-run im2row, accumulate `gout_bn · colT`
-/// over the batch.
+/// Gradient w.r.t. the kernel: `colTᵀ · goutT` over the whole batch.
 pub fn conv3d_backward_weight(gout: &Tensor, x: &Tensor, wshape: &[usize], pad: usize) -> Tensor {
     let _t = dftrace::span("tensor.conv3d.bwd_weight");
     let (n, c, d, h, wd) = dims5(x.shape());
     let (o, _, kd, kh, kw) = dims5(wshape);
     let (_, _, od, oh, ow) = dims5(gout.shape());
     let g = Geom { c, d, h, w: wd, kd, kh, kw, od, oh, ow, pad };
-    let (kdim, s_sp) = (g.kdim(), g.spatial());
     let mut gw = Tensor::zeros(wshape);
-    let gd = gout.data();
-    let xd = x.data();
-    let bc_max = chunk_samples(n, s_sp * kdim);
-    let mut b0 = 0;
-    while b0 < n {
-        let bc = bc_max.min(n - b0);
-        dftrace::counter_add("tensor.conv3d.batched_gemms", 1);
-        scratch::with(Slot::Im2col, bc * s_sp * kdim, |colt| {
-            {
-                let _s = dftrace::span("tensor.conv3d.im2col");
-                for db in 0..bc {
-                    let bn = b0 + db;
-                    im2row(
-                        &mut colt[db * s_sp * kdim..(db + 1) * s_sp * kdim],
-                        &xd[bn * c * g.in_spatial()..(bn + 1) * c * g.in_spatial()],
-                        g,
-                    );
-                }
-            }
-            scratch::with(Slot::GradT, bc * s_sp * o, |goutt| {
-                {
-                    // Spatial-major transpose of the chunk's gout, so it can
-                    // serve as the Tn (k-major) A operand below.
-                    let _s = dftrace::span("tensor.conv3d.unpack");
-                    for db in 0..bc {
-                        let gblock = &gd[(b0 + db) * o * s_sp..(b0 + db + 1) * o * s_sp];
-                        let gslab = &mut goutt[db * s_sp * o..(db + 1) * s_sp * o];
-                        for (s, grow) in gslab.chunks_exact_mut(o).enumerate() {
-                            for (oc, v) in grow.iter_mut().enumerate() {
-                                *v = gblock[oc * s_sp + s];
-                            }
-                        }
-                    }
-                }
-                // gW[oc, k] (+)= Σ_{(bn,s)} goutT[(bn,s), oc] · colT[(bn,s), k]:
-                // one GEMM per chunk whose ascending-k fold walks (bn, s) in
-                // exactly the reference order; later chunks continue each
-                // element's fold through the accumulate flag — bit-equal to
-                // the one big (bn, s) contraction the reference performs.
-                gemm(Layout::Tn, o, bc * s_sp, kdim, goutt, colt, gw.data_mut(), true);
-            });
-        });
-        b0 += bc;
-    }
+    scratch::with(Slot::GradT, gout.data().len(), |goutt| {
+        // Spatial-major transpose of gout, the dense B operand below.
+        transpose_blocks(gout.data(), goutt, o, g.spatial());
+        // gWᵀ[k, oc] = Σ_{(bn,s)} colT[(bn,s), k] · goutT[(bn,s), oc]: one
+        // GEMM whose ascending-k fold walks (bn, s) in exactly the order of
+        // the one big contraction the reference performs.
+        cols_gemm(x.data(), n, g, true, goutt, o, gw.data_mut());
+    });
     gw
 }
 

@@ -1,5 +1,5 @@
 //! Packed, cache-blocked f32 GEMM — the single dense kernel behind
-//! [`crate::tensor::Tensor::matmul`] and the im2col-lowered conv3d passes.
+//! [`crate::tensor::Tensor::matmul`] and the GEMM-lowered conv3d passes.
 //!
 //! Structure (classic three-loop blocking, BLIS-style):
 //!
@@ -13,10 +13,17 @@
 //!   micro-kernel ([`crate::ops::microkernel`]) — scalar or explicit-SIMD,
 //!   chosen once per call.
 //!
+//! Neither operand has to exist as a matrix: [`gemm_with`] is the one
+//! driver and takes the two *packers* — whatever fills the B panels once
+//! and an `MC × KC` block of A panels on demand. [`gemm`] passes the dense
+//! [`pack_b`]/[`pack_a`] over stored slices; conv3d passes packers that
+//! gather straight from a zero-padded voxel grid (`ops::conv`), so its
+//! column matrix is never written. The tile loop, the micro-kernel and the
+//! fold cannot tell the difference: they only ever see packed panels.
+//!
 //! The grid prefers row splits (they reuse the packed B panels best) and
 //! only splits columns when the row count alone cannot feed every usable
-//! lane — the shape of conv3d's weight-gradient GEMM (`m = out_channels`,
-//! tiny; `n = C·k³`, wide), which row bands could never scale. When only
+//! lane (`m` tiny, `n` wide), which row bands could never scale. When only
 //! one lane is usable (single-thread pool, or a host with fewer cores than
 //! the pool has threads), the kernel runs **inline on the calling thread
 //! without touching the pool at all** — the pooled path has zero structural
@@ -76,14 +83,8 @@ pub(crate) enum Layout {
     Nt,
 }
 
-/// `C[m,n] (+)= op(A) · op(B)`.
-///
-/// * `a`/`b` are row-major in their *stored* shapes (see [`Layout`]).
-/// * `accumulate == false` overwrites `c` (its prior contents are ignored
-///   except when `k == 0`, where it is zero-filled); `accumulate == true`
-///   continues each element's fold from the existing value, in ascending-k
-///   order — used by conv3d's weight gradient to sum over the batch.
-#[allow(clippy::too_many_arguments)] // one arg per GEMM dimension/operand; a params struct would only obscure the BLAS shape
+/// `C[m,n] = op(A) · op(B)`, overwriting `c`; `a`/`b` are row-major in
+/// their *stored* shapes (see [`Layout`]).
 pub(crate) fn gemm(
     layout: Layout,
     m: usize,
@@ -92,18 +93,35 @@ pub(crate) fn gemm(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    accumulate: bool,
 ) {
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length");
+    let dense_a = |row0, mcb, pc, kcb, apack: &mut [f32]| {
+        pack_a(layout, a, m, k, row0, mcb, pc, kcb, apack);
+    };
+    gemm_with(m, k, n, c, |bpack| pack_b(layout, b, k, n, bpack), &dense_a);
+}
+
+/// [`gemm`] over operands that are *produced* instead of stored.
+/// `pack_b(bpack)` fills all of packed `op(B)` once, on the calling thread
+/// (layout in [`pack_b`]); `pack_a(row0, mcb, pc, kcb, apack)` fills one
+/// block of packed `op(A)` (layout in [`pack_a`], zero rows past `mcb`
+/// included) and is called from the tile jobs, possibly on several lanes
+/// at once. Both must overwrite every element of the slice they are given.
+pub(crate) fn gemm_with(
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+    pack_b: impl FnOnce(&mut [f32]),
+    pack_a: &(impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync),
+) {
     assert_eq!(c.len(), m * n, "gemm: C length");
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
+        c.fill(0.0);
         return;
     }
     dftrace::counter_add("tensor.gemm.calls", 1);
@@ -121,7 +139,7 @@ pub(crate) fn gemm(
     scratch::with(Slot::PackB, n_panels * k * NR, |bpack| {
         {
             let _s = dftrace::span("tensor.gemm.pack_b");
-            pack_b(layout, b, k, n, bpack);
+            pack_b(bpack);
         }
         let macs = m * n * k;
         let pool = dfpool::current();
@@ -135,12 +153,12 @@ pub(crate) fn gemm(
             // One usable lane (or too small to split): run on the calling
             // thread without involving the pool — bit- and cost-identical
             // to the serial path.
-            tile_job(path, layout, a, bpack, k, Tile::full(c, n), accumulate);
+            tile_job(path, pack_a, bpack, k, Tile::full(c, n));
             return;
         }
         let (row_splits, col_splits) = tile_grid(m, k, n, lanes);
         pool.parallel_tiles(c, n, &row_splits, &col_splits, |tile| {
-            tile_job(path, layout, a, bpack, k, tile, accumulate);
+            tile_job(path, pack_a, bpack, k, tile);
         });
     });
 }
@@ -174,24 +192,9 @@ fn splits(total: usize, parts: usize, align: usize) -> Vec<usize> {
     out
 }
 
-/// `C = A · B` (both row-major, `A[m,k]`, `B[k,n]`).
-pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm(Layout::Nn, m, k, n, a, b, c, false);
-}
-
-/// `C = Aᵀ · B` with `A` stored `[k,m]` row-major.
-pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm(Layout::Tn, m, k, n, a, b, c, false);
-}
-
-/// `C = A · Bᵀ` with `B` stored `[n,k]` row-major.
-pub(crate) fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm(Layout::Nt, m, k, n, a, b, c, false);
-}
-
 /// Packs all of `op(B)` into NR-column panels, k-major within a panel:
 /// `bpack[(jp*k + p)*NR + c] = op(B)[p, jp*NR + c]`, zero beyond column n.
-fn pack_b(layout: Layout, b: &[f32], k: usize, n: usize, bpack: &mut [f32]) {
+pub(crate) fn pack_b(layout: Layout, b: &[f32], k: usize, n: usize, bpack: &mut [f32]) {
     let n_panels = n.div_ceil(NR);
     match layout {
         // B stored [k, n] row-major.
@@ -228,7 +231,7 @@ fn pack_b(layout: Layout, b: &[f32], k: usize, n: usize, bpack: &mut [f32]) {
 /// `apack[(ip*kcb + pp)*MR + r] = op(A)[row0 + ip*MR + r, pc + pp]`,
 /// zero-padded past `mcb` rows.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+pub(crate) fn pack_a(
     layout: Layout,
     a: &[f32],
     m: usize,
@@ -278,15 +281,12 @@ fn pack_a(
 
 /// One macro-tile: all KC blocks (ascending), all MC blocks, all register
 /// tiles inside the tile's row/column rectangle.
-#[allow(clippy::too_many_arguments)]
 fn tile_job(
     path: Path,
-    layout: Layout,
-    a: &[f32],
+    pack_a: &impl Fn(usize, usize, usize, usize, &mut [f32]),
     bpack: &[f32],
     k: usize,
     mut tile: Tile<'_, f32>,
-    accumulate: bool,
 ) {
     let rows = tile.rows();
     let first_row = tile.first_row();
@@ -295,14 +295,12 @@ fn tile_job(
     debug_assert_eq!(first_col % NR, 0, "column splits are NR-aligned");
     let jp0 = first_col / NR;
     let jp1 = (first_col + cols).div_ceil(NR);
-    // Total op(A) rows, needed for the Tn column stride.
-    let m = a.len() / k;
     let mut pc = 0;
     while pc < k {
         let kcb = (k - pc).min(KC);
-        // First KC block initializes each element's fold (unless the call
-        // accumulates into existing C); later blocks continue it.
-        let load_c = accumulate || pc > 0;
+        // First KC block initializes each element's fold; later blocks
+        // continue it.
+        let load_c = pc > 0;
         let mut ic = 0;
         while ic < rows {
             let mcb = (rows - ic).min(MC);
@@ -310,7 +308,7 @@ fn tile_job(
             scratch::with(Slot::PackA, m_panels * kcb * MR, |apack| {
                 {
                     let _s = dftrace::span("tensor.gemm.pack_a");
-                    pack_a(layout, a, m, k, first_row + ic, mcb, pc, kcb, apack);
+                    pack_a(first_row + ic, mcb, pc, kcb, apack);
                 }
                 let _s = dftrace::span("tensor.gemm.kernel");
                 let paired = microkernel::folds_pairs(path);

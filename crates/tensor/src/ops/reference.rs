@@ -1,5 +1,5 @@
 //! Naive reference kernels — the bit-exactness oracle for the blocked GEMM
-//! and the im2col-lowered conv3d passes.
+//! and the GEMM-lowered conv3d passes.
 //!
 //! These are the kernels the optimized layer must match **bitwise**, not
 //! approximately: every output element is a single `f32` accumulator folded

@@ -1,7 +1,7 @@
 //! Thread-aware scratch-buffer arena for the dense kernels.
 //!
 //! The GEMM-lowered kernels need short-lived staging buffers on every call:
-//! im2col matrices, packed A/B panels, transposed gradient views. Allocating
+//! zero-padded conv inputs, packed A/B panels, transposed gradient views. Allocating
 //! them per call would put the allocator on the training and serving hot
 //! paths, so each thread keeps one reusable buffer per [`Slot`] in a
 //! thread-local arena. A buffer is *checked out* for the duration of a
@@ -13,7 +13,7 @@
 //!
 //! * Checked-out buffers are **not** cleared: the slice handed to the
 //!   closure may contain bytes from a previous checkout. Callers must fully
-//!   overwrite every element they later read (the packing and im2col
+//!   overwrite every element they later read (the packing and padding
 //!   routines do this by construction).
 //! * Checkout is re-entrant-safe: if a slot is already checked out on this
 //!   thread (a nested kernel using the same slot), the inner checkout falls
@@ -28,12 +28,15 @@ use std::cell::RefCell;
 
 /// Named scratch buffers; each thread owns one buffer per slot. The slots
 /// mirror the concurrent buffer needs of one kernel invocation — a conv3d
-/// pass can hold `Im2col` + `GemmOut` + `PackB` on the calling thread while
-/// band jobs hold `PackA`, without any slot being requested twice.
+/// pass can hold `PaddedInput` + `GemmOut` + `PackB` on the calling thread
+/// while band jobs hold `PackA`, without any slot being requested twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
-    /// im2col/im2row matrix (`[spatial, in_channels * kernel volume]`).
-    Im2col,
+    /// Zero-padded conv3d input (`[samples, in_channels, D+2p, H+2p, W+2p]`)
+    /// that the forward and weight-gradient A packer gathers from — the
+    /// only copy of the input those passes make, in place of a
+    /// `[spatial, in_channels * kernel volume]` column matrix.
+    PaddedInput,
     /// GEMM destination staging (e.g. the spatial-major conv output that is
     /// transposed into the tensor layout afterwards).
     GemmOut,
@@ -50,7 +53,7 @@ const NUM_SLOTS: usize = 5;
 impl Slot {
     fn index(self) -> usize {
         match self {
-            Slot::Im2col => 0,
+            Slot::PaddedInput => 0,
             Slot::GemmOut => 1,
             Slot::PackA => 2,
             Slot::PackB => 3,
@@ -123,11 +126,11 @@ mod tests {
 
     #[test]
     fn buffer_is_reused_across_checkouts() {
-        let first_ptr = with(Slot::Im2col, 1024, |b| {
+        let first_ptr = with(Slot::PaddedInput, 1024, |b| {
             b.fill(1.0);
             b.as_ptr() as usize
         });
-        let second_ptr = with(Slot::Im2col, 512, |b| {
+        let second_ptr = with(Slot::PaddedInput, 512, |b| {
             assert_eq!(b.len(), 512);
             b.as_ptr() as usize
         });
@@ -147,7 +150,7 @@ mod tests {
 
     #[test]
     fn distinct_slots_are_live_simultaneously() {
-        with(Slot::Im2col, 16, |a| {
+        with(Slot::PaddedInput, 16, |a| {
             a.fill(1.0);
             with(Slot::PackB, 16, |b| {
                 b.fill(2.0);

@@ -5,6 +5,7 @@
 //! kernels (elementwise maths, matmul, reductions) that the autodiff layer
 //! in [`crate::graph`] builds on.
 
+use crate::ops::gemm::{gemm, Layout};
 use crate::rng::normal;
 use crate::shape::{assert_same_shape, flat_index, numel, strides};
 use rand::Rng;
@@ -294,7 +295,7 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dims differ: {:?} x {:?}", self.shape, other.shape);
         let mut out = vec![0.0f32; m * n];
-        crate::ops::gemm::gemm_nn(m, k, n, &self.data, &other.data, &mut out);
+        gemm(Layout::Nn, m, k, n, &self.data, &other.data, &mut out);
         Tensor { data: out, shape: vec![m, n] }
     }
 
@@ -309,7 +310,7 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dims differ: {:?} x {:?}", self.shape, other.shape);
         let mut out = vec![0.0f32; m * n];
-        crate::ops::gemm::gemm_tn(m, k, n, &self.data, &other.data, &mut out);
+        gemm(Layout::Tn, m, k, n, &self.data, &other.data, &mut out);
         Tensor { data: out, shape: vec![m, n] }
     }
 
@@ -324,7 +325,7 @@ impl Tensor {
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dims differ: {:?} x {:?}", self.shape, other.shape);
         let mut out = vec![0.0f32; m * n];
-        crate::ops::gemm::gemm_nt(m, k, n, &self.data, &other.data, &mut out);
+        gemm(Layout::Nt, m, k, n, &self.data, &other.data, &mut out);
         Tensor { data: out, shape: vec![m, n] }
     }
 

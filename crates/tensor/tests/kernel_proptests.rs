@@ -1,5 +1,5 @@
 //! Differential bit-exactness tests for the blocked GEMM and the
-//! im2col-lowered conv3d kernels against the naive reference oracle in
+//! GEMM-lowered conv3d kernels against the naive reference oracle in
 //! [`dftensor::ops::reference`].
 //!
 //! Every comparison here is `to_bits()` equality — no tolerances. The
@@ -104,7 +104,7 @@ proptest! {
         assert_matches_reference(&reference::matmul(&a, &b), || a.matmul(&b))?;
     }
 
-    /// im2col-lowered conv3d forward == reference, bitwise, over random
+    /// GEMM-lowered conv3d forward == reference, bitwise, over random
     /// shapes and pads (including pad > kernel), serial and pooled.
     #[test]
     fn conv3d_forward_matches_reference_bitwise(
@@ -202,11 +202,12 @@ fn gemm_register_tile_remainders_match_reference_bitwise() {
     }
 }
 
-/// Conv case large enough that the batched lowering splits the batch into
-/// multiple column-buffer chunks (per-sample buffer ≈ 3.0M floats against
-/// the 8M-element budget → chunks of 2 + 1 samples, a ragged tail). Locks
-/// the accumulate-across-chunks fold for all three conv kernels against the
-/// single-fold reference, bitwise, serial and pooled.
+/// Conv case large enough that the batched backward lowerings split the
+/// batch into multiple column-matrix chunks (per-sample footprint ≈ 3.0M
+/// floats against the 8M-element budget → chunks of 2 + 1 samples, a ragged
+/// tail; forward writes no column matrix and runs it as one GEMM). Locks
+/// the accumulate-across-chunks fold against the single-fold reference,
+/// bitwise, serial and pooled.
 #[test]
 fn conv3d_multi_chunk_batches_match_reference_bitwise() {
     let mut r = rng(9876);
@@ -244,5 +245,49 @@ fn conv3d_asymmetric_fixed_case() {
         let gw = pool(4).install(|| conv3d_backward_weight(&gout, &x, w.shape(), pad));
         assert_eq!(bits(&gx), bits(&want_gx), "gx pad {pad}");
         assert_eq!(bits(&gw), bits(&want_gw), "gw pad {pad}");
+    }
+}
+
+/// One fixed conv case crossing every boundary of the gather packers at
+/// once, bitwise against the reference for forward and weight gradient, on
+/// every micro-kernel edition × 1/2/4-thread pools — then again with every
+/// third input element `±0.0` (padding taps are `+0.0`; real zeros of
+/// either sign must fold identically). With `pad 2`: `kdim = 625 > 2·KC`
+/// (KC blocks start mid tap-run), `ow = 6` (MR = 4 panels straddle padded
+/// x-rows), `3·216` rows (a panel straddles a sample boundary, `m > MC`,
+/// a ragged last panel), `o = 9 > NR`. With `pad 0`: `ow = 2`, so no panel
+/// is ever contiguous.
+#[test]
+fn conv3d_gather_packers_fixed_case() {
+    let mut r = rng(2424);
+    let mut x = Tensor::randn(&[3, 5, 6, 6, 6], &mut r);
+    let w = Tensor::randn(&[9, 5, 5, 5, 5], &mut r);
+    for zeroed in [false, true] {
+        if zeroed {
+            for (i, v) in x.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        for pad in [2usize, 0] {
+            let want = reference::conv3d_forward(&x, &w, pad);
+            let gout = Tensor::randn(want.shape(), &mut r);
+            let want_gw = reference::conv3d_backward_weight(&gout, &x, w.shape(), pad);
+            for path in microkernel::available_paths() {
+                for threads in [1usize, 2, 4] {
+                    let (y, gw) = pool(threads).install(|| {
+                        microkernel::with_forced(path, || {
+                            (
+                                conv3d_forward(&x, &w, pad),
+                                conv3d_backward_weight(&gout, &x, w.shape(), pad),
+                            )
+                        })
+                    });
+                    let case =
+                        format!("pad {pad} zeroed {zeroed} {} threads {threads}", path.label());
+                    assert_eq!(bits(&y), bits(&want), "forward {case}");
+                    assert_eq!(bits(&gw), bits(&want_gw), "gw {case}");
+                }
+            }
+        }
     }
 }
