@@ -28,8 +28,20 @@
 //! serial screen (timer-noise floor), a funnel that actually narrows, and
 //! — when `DFTRACE=1` — the `chem.filter.*` / `chem.fp.*` counters and
 //! per-stage chunk histograms.
+//!
+//! The `featurize` section times the per-compound front end — the three
+//! `Compound::materialize*` forms and `build_graph` — best of 3 over 4
+//! libraries × 500 compounds, with an FNV-1a digest over every relaxed
+//! coordinate.
+//! `--smoke` pins that digest and asserts `materialize` costs at most
+//! `MAX_RELAX_RATIO` × `materialize_topology`: both timings come from one
+//! process, so host speed cancels, and a per-pair hash probe or
+//! per-iteration allocation back in the relaxation loop fails it.
 
-use dfchem::genmol::Library;
+use dfchem::featurize::{build_graph, GraphConfig};
+use dfchem::genmol::{Compound, Library};
+use dfchem::mol::Molecule;
+use dfchem::pocket::{BindingPocket, TargetSite};
 use dfchem::screen::{screen_library_with, FunnelStats, RankedCompound, ScreenConfig};
 use dfpool::Pool;
 use dftensor::hash::{fnv1a64_update, FNV_OFFSET};
@@ -38,6 +50,17 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Campaign and pocket seed of every section.
+const SEED: u64 = 2021;
+/// Compounds per library in the featurize section.
+const FEATURIZE_PER_LIBRARY: u64 = 500;
+/// Timed passes per featurize form; the best is kept.
+const FEATURIZE_REPS: usize = 3;
+/// Smoke bound on `materialize_us / materialize_topology_us`.
+const MAX_RELAX_RATIO: f64 = 3.0;
+/// `relaxed_digest` of the 4 × 500 relaxed conformers at `SEED`.
+const RELAXED_DIGEST: u64 = 0xa124_6f70_e889_4fbc;
 
 #[derive(Serialize)]
 struct LaneRun {
@@ -54,6 +77,22 @@ struct LaneRun {
 struct RuleRejection {
     rule: String,
     rejected: u64,
+}
+
+/// Per-compound featurization costs (µs, best of `FEATURIZE_REPS`).
+#[derive(Serialize)]
+struct FeaturizeCosts {
+    compounds: usize,
+    materialize_us: f64,
+    materialize_topology_us: f64,
+    materialize_graph_only_us: f64,
+    /// One centred, relaxed compound against the Spike1 pocket.
+    build_graph_us: f64,
+    /// `materialize_us / materialize_topology_us`: what relaxation and
+    /// charges add on top of placing atoms.
+    relax_ratio: f64,
+    /// FNV-1a over every relaxed coordinate's bits, in compound order.
+    relaxed_digest: String,
 }
 
 #[derive(Serialize)]
@@ -77,6 +116,7 @@ struct ChemBench {
     /// first).
     top: Vec<RankedCompound>,
     runs: Vec<LaneRun>,
+    featurize: FeaturizeCosts,
 }
 
 /// One full streaming screen on the current pool: returns the funnel, the
@@ -109,6 +149,74 @@ fn rank_truncate(top: &mut Vec<RankedCompound>, k: usize) {
     top.truncate(k);
 }
 
+/// Times one pass and folds its wall time, in µs per compound, into
+/// `best`; the output is returned, so it is dropped off the clock.
+fn time_pass<T>(best: &mut f64, compounds: usize, pass: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = pass();
+    *best = best.min(t.elapsed().as_secs_f64() * 1e6 / compounds as f64);
+    out
+}
+
+fn featurize_costs() -> FeaturizeCosts {
+    let ids: Vec<(Library, u64)> = Library::ALL
+        .iter()
+        .flat_map(|&lib| (0..FEATURIZE_PER_LIBRARY).map(move |i| (lib, i)))
+        .collect();
+    let n = ids.len();
+    let forms: [fn(Library, u64, u64) -> Compound; 3] =
+        [Compound::materialize, Compound::materialize_topology, Compound::materialize_graph_only];
+    // Interleaved like the thread ladder: every rep times the three forms
+    // back to back, so host steal lands on each and the smoke's ratio
+    // compares like with like.
+    let mut best = [f64::INFINITY; 3];
+    let mut relaxed = Vec::new();
+    for _ in 0..FEATURIZE_REPS {
+        for (slot, make) in forms.iter().enumerate() {
+            let out = time_pass(&mut best[slot], n, || {
+                ids.iter().map(|&(lib, i)| make(lib, i, SEED)).collect::<Vec<_>>()
+            });
+            if slot == 0 {
+                relaxed = out;
+            }
+        }
+    }
+    let [materialize_us, materialize_topology_us, materialize_graph_only_us] = best;
+
+    let mut digest = FNV_OFFSET;
+    for a in relaxed.iter().flat_map(|c| &c.mol.atoms) {
+        for v in [a.pos.x, a.pos.y, a.pos.z] {
+            digest = fnv1a64_update(digest, &v.to_bits().to_le_bytes());
+        }
+    }
+    let centred: Vec<Molecule> = relaxed
+        .into_iter()
+        .map(|c| {
+            let mut m = c.mol;
+            let centroid = m.centroid();
+            m.translate(centroid.scale(-1.0));
+            m
+        })
+        .collect();
+    let pocket = BindingPocket::generate(TargetSite::Spike1, SEED);
+    let cfg = GraphConfig::default();
+    let mut build_graph_us = f64::INFINITY;
+    for _ in 0..FEATURIZE_REPS {
+        time_pass(&mut build_graph_us, n, || {
+            centred.iter().map(|m| build_graph(&cfg, m, &pocket)).collect::<Vec<_>>()
+        });
+    }
+    FeaturizeCosts {
+        compounds: n,
+        materialize_us,
+        materialize_topology_us,
+        materialize_graph_only_us,
+        build_graph_us,
+        relax_ratio: materialize_us / materialize_topology_us,
+        relaxed_digest: format!("{digest:016x}"),
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -116,7 +224,7 @@ fn main() {
 
     let (num_compounds, chunk_size, reps) =
         if smoke { (30_000u64, 4_096usize, 3usize) } else { (1_000_000, 16_384, 1) };
-    let mut cfg = ScreenConfig::new(Library::Chembl, num_compounds, 2021);
+    let mut cfg = ScreenConfig::new(Library::Chembl, num_compounds, SEED);
     cfg.chunk_size = chunk_size;
     cfg.top_k = 16;
 
@@ -175,6 +283,19 @@ fn main() {
         bit_identical,
     );
 
+    let featurize = featurize_costs();
+    eprintln!(
+        "  featurize ({} compounds, best of {FEATURIZE_REPS}): materialize {:.1} us, topology \
+         {:.1} us (ratio {:.2}x), graph-only {:.1} us, build_graph {:.1} us, relaxed digest {}",
+        featurize.compounds,
+        featurize.materialize_us,
+        featurize.materialize_topology_us,
+        featurize.relax_ratio,
+        featurize.materialize_graph_only_us,
+        featurize.build_graph_us,
+        featurize.relaxed_digest,
+    );
+
     let rejections = cfg
         .filter
         .rules
@@ -197,6 +318,7 @@ fn main() {
         rejections,
         top,
         runs,
+        featurize,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize chem baseline");
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chem.json");
@@ -221,6 +343,17 @@ fn main() {
             "the druglike gate must narrow the funnel without closing it"
         );
         assert!(!report.top.is_empty(), "the screen must rank some survivors");
+        assert_eq!(
+            report.featurize.relaxed_digest,
+            format!("{RELAXED_DIGEST:016x}"),
+            "relaxed conformers drifted"
+        );
+        assert!(
+            report.featurize.relax_ratio <= MAX_RELAX_RATIO,
+            "materialize costs {:.2}x materialize_topology (bound {MAX_RELAX_RATIO}x): \
+             relaxation got expensive again",
+            report.featurize.relax_ratio
+        );
         if dftrace::enabled() {
             let trace = dftrace::snapshot();
             assert!(trace.counter("chem.filter.evaluated") > 0, "no filter telemetry");

@@ -9,6 +9,11 @@
 //!   than the covalent threshold, capped at K nearest per node;
 //! * **non-covalent** edges — any pair within the non-covalent threshold
 //!   that is not covalently linked, capped at K nearest per node.
+//!
+//! Capping keeps each node's K nearest candidates; a tie in distance goes
+//! to the candidate whose pair came first (ligand bonds in bond order, then
+//! pairs `(i, j)`, `i < j`, row by row), exactly as a stable sort by
+//! distance truncated to K. A pair survives if either endpoint keeps it.
 
 use crate::element::Element;
 use crate::geom::Vec3;
@@ -170,8 +175,10 @@ pub fn build_graph(cfg: &GraphConfig, ligand: &Molecule, pocket: &BindingPocket)
     }
     let (covalent_edges, covalent_dists) =
         cap_and_direct(&covalent_pairs, n, cfg.covalent_k, &nodes);
-    let covalent_set: std::collections::HashSet<(usize, usize)> =
-        covalent_edges.iter().copied().collect();
+    let mut covalent = vec![false; n * n];
+    for &(a, b) in &covalent_edges {
+        covalent[a * n + b] = true;
+    }
 
     // Non-covalent pairs: any two nodes within threshold, not covalently
     // linked. Cross ligand–pocket contacts are what carries the binding
@@ -179,7 +186,7 @@ pub fn build_graph(cfg: &GraphConfig, ligand: &Molecule, pocket: &BindingPocket)
     let mut noncovalent_pairs: Vec<(usize, usize, f64)> = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            if covalent_set.contains(&(i, j)) {
+            if covalent[i * n + j] {
                 continue;
             }
             let d = nodes[i].pos.dist(nodes[j].pos);
@@ -209,24 +216,31 @@ fn cap_and_direct(
     k: usize,
     nodes: &[Node],
 ) -> (Vec<(usize, usize)>, Vec<f64>) {
-    // Per-node candidate lists sorted by distance.
-    let mut per_node: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
+    // Node `a`'s nearest partners so far in `nearest[a * k..][..len[a]]`;
+    // a candidate goes after every kept one at its distance.
+    let mut nearest = vec![(0.0, 0); n * k];
+    let mut len = vec![0; n];
     for &(a, b, d) in pairs {
-        per_node[a].push((d, b));
-        per_node[b].push((d, a));
-    }
-    for lst in &mut per_node {
-        lst.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
-        lst.truncate(k);
+        for (node, partner) in [(a, b), (b, a)] {
+            let list = &mut nearest[node * k..(node + 1) * k];
+            let at = list[..len[node]].partition_point(|&(kept, _)| kept <= d);
+            if at < k {
+                len[node] = (len[node] + 1).min(k);
+                list[at..len[node]].rotate_right(1);
+                list[at] = (d, partner);
+            }
+        }
     }
     // A pair survives if either endpoint keeps it (PyG-style kNN graphs are
     // directed; we symmetrize to keep message passing bidirectional).
-    let mut kept: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for (a, lst) in per_node.iter().enumerate() {
-        for &(_, b) in lst {
-            kept.insert((a.min(b), a.max(b)));
+    let mut kept: Vec<(usize, usize)> = Vec::with_capacity(len.iter().sum());
+    for (a, &count) in len.iter().enumerate() {
+        for &(_, b) in &nearest[a * k..a * k + count] {
+            kept.push((a.min(b), a.max(b)));
         }
     }
+    kept.sort_unstable();
+    kept.dedup();
     let mut edges: Vec<(usize, usize)> = Vec::with_capacity(kept.len() * 2);
     for (a, b) in kept {
         edges.push((a, b));
@@ -323,6 +337,124 @@ mod tests {
         let g = build_graph(&GraphConfig::default(), &lig, &pocket);
         assert!(g.num_nodes() > lig.num_atoms(), "pocket atoms should join");
         assert!(!g.noncovalent_edges.is_empty());
+    }
+
+    /// Pinned from `build_graph` as it stood before its pair sets became
+    /// bitmaps and its per-node candidate lists one flat buffer: not one
+    /// node feature, edge or distance bit may move.
+    #[test]
+    fn built_graphs_match_the_golden_digest() {
+        use crate::genmol::{Compound, Library};
+        use dftensor::hash::{fnv1a64_update, FNV_OFFSET};
+        let mut h = FNV_OFFSET;
+        let mut bytes = Vec::new();
+        for target in TargetSite::ALL {
+            let pocket = BindingPocket::generate(target, 2021);
+            for lib in Library::ALL {
+                for i in 0..50 {
+                    let mut lig = Compound::materialize(lib, i, 2021).mol;
+                    let c = lig.centroid();
+                    lig.translate(c.scale(-1.0));
+                    bytes.clear();
+                    build_graph(&GraphConfig::default(), &lig, &pocket).canonical_bytes(&mut bytes);
+                    h = fnv1a64_update(h, &bytes);
+                }
+            }
+        }
+        assert_eq!(h, 0x05e8_0610_62ea_7974, "build_graph drifted");
+    }
+
+    /// `cap_and_direct` as it stood before its per-node lists became one
+    /// flat buffer: a stable sort by distance, truncated to `k`.
+    fn cap_and_direct_reference(
+        pairs: &[(usize, usize, f64)],
+        n: usize,
+        k: usize,
+        nodes: &[Node],
+    ) -> (Vec<(usize, usize)>, Vec<f64>) {
+        let mut per_node: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
+        for &(a, b, d) in pairs {
+            per_node[a].push((d, b));
+            per_node[b].push((d, a));
+        }
+        for lst in &mut per_node {
+            lst.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
+            lst.truncate(k);
+        }
+        let mut kept: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
+        for (a, lst) in per_node.iter().enumerate() {
+            for &(_, b) in lst {
+                kept.insert((a.min(b), a.max(b)));
+            }
+        }
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(kept.len() * 2);
+        for (a, b) in kept {
+            edges.push((a, b));
+            edges.push((b, a));
+        }
+        edges.sort_unstable();
+        let dists = edges.iter().map(|&(a, b)| nodes[a].pos.dist(nodes[b].pos)).collect();
+        (edges, dists)
+    }
+
+    fn carbon_nodes(n: usize) -> Vec<Node> {
+        (0..n)
+            .map(|i| Node {
+                pos: Vec3::new(i as f64, (i * i % 7) as f64, 0.5),
+                element: Element::C,
+                charge: 0.0,
+                is_ligand: true,
+            })
+            .collect()
+    }
+
+    /// Node 0 has five equidistant candidates, listed out of index order;
+    /// each of them has three nearer partners of its own, so only node 0's
+    /// tie-break decides which `0–j` edges survive: the first `k` listed.
+    #[test]
+    fn capping_breaks_distance_ties_by_pair_order() {
+        let ties = [3, 1, 5, 2, 4];
+        let mut pairs = Vec::new();
+        for (t, &j) in ties.iter().enumerate() {
+            for p in 0..3 {
+                pairs.push((j, 6 + 3 * (j - 1) + p, 0.5));
+            }
+            // Alternate the stored direction of node 0's pairs.
+            pairs.push(if t % 2 == 0 { (0, j, 1.0) } else { (j, 0, 1.0) });
+        }
+        let nodes = carbon_nodes(21);
+        for k in 1..=3 {
+            let got = cap_and_direct(&pairs, nodes.len(), k, &nodes);
+            assert_eq!(got, cap_and_direct_reference(&pairs, nodes.len(), k, &nodes), "k = {k}");
+            let mut want: Vec<usize> = ties[..k].to_vec();
+            want.sort_unstable();
+            let from_0: Vec<usize> =
+                got.0.iter().filter(|&&(a, _)| a == 0).map(|&(_, b)| b).collect();
+            assert_eq!(from_0, want, "k = {k}");
+        }
+    }
+
+    /// Random candidate lists drawn from three distances, so most
+    /// comparisons are ties, at every `k` from 0 to 4.
+    #[test]
+    fn capping_matches_the_sort_based_reference() {
+        use rand::Rng;
+        let n = 12usize;
+        let nodes = carbon_nodes(n);
+        let mut r = dftensor::rng::rng(26);
+        for _ in 0..200 {
+            let pairs: Vec<(usize, usize, f64)> = (0..r.gen_range(0..40))
+                .map(|_| (r.gen_range(0..n), r.gen_range(0..n), r.gen_range(1..=3) as f64))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            for k in 0..=4 {
+                assert_eq!(
+                    cap_and_direct(&pairs, nodes.len(), k, &nodes),
+                    cap_and_direct_reference(&pairs, nodes.len(), k, &nodes),
+                    "k = {k}, pairs {pairs:?}"
+                );
+            }
+        }
     }
 
     #[test]

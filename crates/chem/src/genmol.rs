@@ -91,9 +91,9 @@ pub fn generate_molecule(cfg: &MolGenConfig, name: impl Into<String>, seed: u64)
 /// to the fully materialized molecule's — only coordinates and charges
 /// differ. Consumers that read the unrelaxed conformer (the surrogate's
 /// radius-of-gyration channel, the screen's survivor pass) use this
-/// path, since conformer relaxation is O(atoms²·iterations) and
-/// dominates generation cost; consumers that read no coordinate at all
-/// use [`generate_graph_only`].
+/// path, since conformer relaxation is O(atoms²·iterations) and more
+/// than half of generation cost; consumers that read no coordinate at
+/// all use [`generate_graph_only`].
 pub fn generate_topology(cfg: &MolGenConfig, name: impl Into<String>, seed: u64) -> Molecule {
     generate_with(cfg, name.into(), seed, place_next_to)
 }
@@ -345,39 +345,49 @@ fn add_double_bonds(cfg: &MolGenConfig, m: &mut Molecule, spare: &mut [usize], r
 
 /// Simple force-field relaxation: harmonic bonds plus soft steric
 /// repulsion between non-bonded pairs.
+///
+/// Each iteration sums every force in one fixed order — the bond springs
+/// in bond-list order, then the non-bonded pairs `(i, j)`, `i < j`, row by
+/// row — and only then moves the atoms. A pair skips the steric term only
+/// when a bond is stored as exactly `(i, j)`, so a bond stored high→low
+/// does not exclude its pair. Both rules are kept for bit-identity with
+/// every conformer generated before.
 pub fn relax_conformer(m: &mut Molecule, iterations: usize) {
     let n = m.num_atoms();
     if n < 2 {
         return;
     }
-    let bonded: std::collections::HashSet<(usize, usize)> =
-        m.bonds.iter().map(|b| (b.a, b.b)).collect();
+    let mut bonded = vec![false; n * n];
+    for b in &m.bonds {
+        bonded[b.a * n + b.b] = true;
+    }
     let ideal: Vec<f64> = m
         .bonds
         .iter()
         .map(|b| m.atoms[b.a].element.covalent_radius() + m.atoms[b.b].element.covalent_radius())
         .collect();
+    let vdw: Vec<f64> = m.atoms.iter().map(|a| a.element.vdw_radius()).collect();
+    let mut pos: Vec<Vec3> = m.atoms.iter().map(|a| a.pos).collect();
+    let mut force = vec![Vec3::ZERO; n];
     let step = 0.12;
     for _ in 0..iterations {
-        let mut force = vec![Vec3::ZERO; n];
+        force.fill(Vec3::ZERO);
         // Bond springs.
-        for (bi, b) in m.bonds.iter().enumerate() {
-            let d = m.atoms[b.b].pos.sub(m.atoms[b.a].pos);
+        for (b, &ideal) in m.bonds.iter().zip(&ideal) {
+            let d = pos[b.b].sub(pos[b.a]);
             let len = d.norm().max(1e-6);
-            let f = d.scale((len - ideal[bi]) / len);
+            let f = d.scale((len - ideal) / len);
             force[b.a] = force[b.a].add(f);
             force[b.b] = force[b.b].sub(f);
         }
         // Steric repulsion for non-bonded pairs that clash.
         for i in 0..n {
             for j in (i + 1)..n {
-                if bonded.contains(&(i, j)) {
+                if bonded[i * n + j] {
                     continue;
                 }
-                let min_d =
-                    0.8 * (m.atoms[i].element.vdw_radius() + m.atoms[j].element.vdw_radius()) * 0.5
-                        + 1.0;
-                let d = m.atoms[j].pos.sub(m.atoms[i].pos);
+                let min_d = 0.8 * (vdw[i] + vdw[j]) * 0.5 + 1.0;
+                let d = pos[j].sub(pos[i]);
                 let len = d.norm().max(1e-6);
                 if len < min_d {
                     let f = d.scale((min_d - len) / len * 0.5);
@@ -386,9 +396,12 @@ pub fn relax_conformer(m: &mut Molecule, iterations: usize) {
                 }
             }
         }
-        for (a, f) in m.atoms.iter_mut().zip(&force) {
-            a.pos = a.pos.add(f.scale(step));
+        for (p, f) in pos.iter_mut().zip(&force) {
+            *p = p.add(f.scale(step));
         }
+    }
+    for (a, p) in m.atoms.iter_mut().zip(pos) {
+        a.pos = p;
     }
 }
 
@@ -534,7 +547,7 @@ impl Compound {
     /// Materializes the compound's topology only (see
     /// [`generate_topology`]): identical bond graph to
     /// [`Compound::materialize`], but with the unrelaxed conformer and no
-    /// partial charges. Orders of magnitude cheaper. The only descriptor
+    /// partial charges, at under half the cost. The only descriptor
     /// that differs is the geometric `radius_of_gyration`, which no filter
     /// rule or ligand score consumes (the surrogate featurizer does read
     /// it, from this form).
@@ -763,6 +776,119 @@ mod tests {
         }
         assert_eq!(topology, 0x8ae6_7848_44ef_066c, "materialize_topology drifted");
         assert_eq!(relaxed, 0x7b00_047a_637b_ec27, "materialize drifted");
+    }
+
+    /// [`relax_conformer`] as it stood before its bonded-pair set became a
+    /// bitmap and its force vector one reused buffer: the oracle the
+    /// hash-free form must match bit for bit.
+    fn relax_conformer_reference(m: &mut Molecule, iterations: usize) {
+        let n = m.num_atoms();
+        if n < 2 {
+            return;
+        }
+        let bonded: std::collections::HashSet<(usize, usize)> =
+            m.bonds.iter().map(|b| (b.a, b.b)).collect();
+        let ideal: Vec<f64> = m
+            .bonds
+            .iter()
+            .map(|b| {
+                m.atoms[b.a].element.covalent_radius() + m.atoms[b.b].element.covalent_radius()
+            })
+            .collect();
+        let step = 0.12;
+        for _ in 0..iterations {
+            let mut force = vec![Vec3::ZERO; n];
+            // Bond springs.
+            for (bi, b) in m.bonds.iter().enumerate() {
+                let d = m.atoms[b.b].pos.sub(m.atoms[b.a].pos);
+                let len = d.norm().max(1e-6);
+                let f = d.scale((len - ideal[bi]) / len);
+                force[b.a] = force[b.a].add(f);
+                force[b.b] = force[b.b].sub(f);
+            }
+            // Steric repulsion for non-bonded pairs that clash.
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if bonded.contains(&(i, j)) {
+                        continue;
+                    }
+                    let min_d = 0.8
+                        * (m.atoms[i].element.vdw_radius() + m.atoms[j].element.vdw_radius())
+                        * 0.5
+                        + 1.0;
+                    let d = m.atoms[j].pos.sub(m.atoms[i].pos);
+                    let len = d.norm().max(1e-6);
+                    if len < min_d {
+                        let f = d.scale((min_d - len) / len * 0.5);
+                        force[i] = force[i].sub(f);
+                        force[j] = force[j].add(f);
+                    }
+                }
+            }
+            for (a, f) in m.atoms.iter_mut().zip(&force) {
+                a.pos = a.pos.add(f.scale(step));
+            }
+        }
+    }
+
+    fn position_bits(m: &Molecule) -> Vec<[u64; 3]> {
+        m.atoms.iter().map(|a| [a.pos.x.to_bits(), a.pos.y.to_bits(), a.pos.z.to_bits()]).collect()
+    }
+
+    /// Relaxes `m` for 0, 1, 10 and 60 iterations with both forms and
+    /// compares every coordinate bit.
+    fn assert_relaxes_like_the_reference(m: &Molecule, at: &str) {
+        for iterations in [0, 1, 10, 60] {
+            let (mut got, mut want) = (m.clone(), m.clone());
+            relax_conformer(&mut got, iterations);
+            relax_conformer_reference(&mut want, iterations);
+            assert_eq!(position_bits(&got), position_bits(&want), "{at}, {iterations} iterations");
+        }
+    }
+
+    #[test]
+    fn relaxation_is_bit_identical_to_the_hashed_reference() {
+        for lib in Library::ALL {
+            for i in 0..200 {
+                let c = Compound::materialize_topology(lib, i, 2021);
+                assert_relaxes_like_the_reference(&c.mol, &c.id.to_string());
+            }
+        }
+    }
+
+    /// The corners the generator never produces: a bond stored high→low
+    /// (which, by the directional rule, still feels the steric term), a
+    /// duplicated bond (two springs), and two atoms at one point (the
+    /// `max(1e-6)` guard).
+    #[test]
+    fn relaxation_matches_the_reference_on_hand_built_corners() {
+        use crate::mol::Bond;
+        let chain = |bonds: &[(usize, usize)], last: Vec3| {
+            let mut m = Molecule::new("corner");
+            for (i, e) in [Element::C, Element::N, Element::O].into_iter().enumerate() {
+                m.add_atom(Atom::new(e, Vec3::new(1.45 * i as f64, 0.2 * i as f64, 0.0)));
+            }
+            m.add_atom(Atom::new(Element::C, last));
+            m.bonds = bonds.iter().map(|&(a, b)| Bond { a, b, order: BondOrder::Single }).collect();
+            m
+        };
+        let off_axis = Vec3::new(1.0, 1.3, 0.4);
+        let forward = chain(&[(0, 1), (1, 2), (2, 3)], off_axis);
+        let backward = chain(&[(1, 0), (1, 2), (2, 3)], off_axis);
+        let duplicated = chain(&[(0, 1), (1, 2), (1, 2), (2, 3)], off_axis);
+        let coincident = chain(&[(0, 1), (1, 2)], Vec3::new(2.9, 0.4, 0.0));
+        for (m, at) in [
+            (&forward, "low→high"),
+            (&backward, "high→low"),
+            (&duplicated, "duplicated bond"),
+            (&coincident, "coincident atoms"),
+        ] {
+            assert_relaxes_like_the_reference(m, at);
+        }
+        let (mut f, mut b) = (forward, backward);
+        relax_conformer(&mut f, 1);
+        relax_conformer(&mut b, 1);
+        assert_ne!(position_bits(&f), position_bits(&b), "a high→low bond must not exclude");
     }
 
     #[test]

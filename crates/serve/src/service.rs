@@ -615,6 +615,7 @@ impl ScoreService {
     }
 
     fn materialize(&self, id: dfchem::genmol::CompoundId) -> Compound {
+        let _span = dftrace::span("serve.featurize.materialize");
         let mut c = Compound::materialize(id.library, id.index, self.cfg.campaign_seed);
         // Ligand prep: center on the pocket origin before featurization,
         // matching the training-time convention.
@@ -646,6 +647,7 @@ impl ScoreService {
             Some((g, h)) => (g, h, None),
             None => {
                 let compound = self.materialize(id);
+                let _span = dftrace::span("serve.featurize.graph");
                 let g = build_graph(&self.cfg.spec.graph, &compound.mol, pocket);
                 let mut bytes = Vec::new();
                 g.canonical_bytes(&mut bytes);
@@ -654,6 +656,7 @@ impl ScoreService {
         };
         let voxel = if need_voxel {
             let compound = compound.unwrap_or_else(|| self.materialize(id));
+            let _span = dftrace::span("serve.featurize.voxel");
             Some(Arc::new(voxelize(&self.cfg.spec.voxel, &compound.mol, pocket)))
         } else {
             None
