@@ -363,7 +363,7 @@ fn main() {
             assert!(k.bit_exact, "{}: optimized kernel diverged from the reference bits", k.name);
             // Every kernel, every thread count: pooled must never lose to
             // serial beyond timer noise. Small kernels run the identical
-            // inline path, large ones partition into macro-tiles; neither
+            // inline path, large ones partition into row bands; neither
             // has any business being slower than one thread.
             for run in &k.runs {
                 assert!(

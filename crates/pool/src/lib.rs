@@ -2,17 +2,22 @@
 //!
 //! Design goals, in order:
 //!
-//! 1. **Determinism.** Every primitive that combines results does so in
-//!    item-index order, never completion order, so pooled execution is
-//!    bit-identical to serial execution regardless of thread count or
-//!    interleaving. [`Pool::parallel_map`] writes each result into its own
-//!    pre-allocated slot; [`Pool::parallel_map_reduce`] folds those slots
-//!    serially left-to-right.
-//! 2. **No blocked waiters.** Threads that wait for work to finish
+//! 1. **Determinism.** There are two data-parallel primitives, and both
+//!    hand each job a disjoint contiguous band of one buffer, so pooled
+//!    execution is bit-identical to serial execution regardless of thread
+//!    count or interleaving. [`Pool::parallel_rows`] cuts the caller's
+//!    buffer into row bands; [`Pool::parallel_map`] cuts a buffer of
+//!    pre-allocated result slots the same way and returns them in index
+//!    order.
+//! 2. **Safe slices.** Bands are carved with `chunks_mut`, so jobs only
+//!    ever hold `&mut` slices. The crate's one raw operation is the
+//!    lifetime erasure that lets a queued job borrow the caller's stack
+//!    (`scope.rs`).
+//! 3. **No blocked waiters.** Threads that wait for work to finish
 //!    (the caller of a parallel primitive, or a worker executing a nested
 //!    one) *help*: they pull queued jobs and run them instead of blocking.
 //!    This makes nested parallelism deadlock-free by construction.
-//! 3. **Zero heavy dependencies.** Built on `std::thread` plus the
+//! 4. **Zero heavy dependencies.** Built on `std::thread` plus the
 //!    crossbeam deque types (injector + per-worker LIFO deques with
 //!    stealers).
 //!
@@ -36,14 +41,11 @@
 //! scheduling interleaving:
 //!
 //! * [`Pool::parallel_map`] returns results in item-index order;
-//! * [`Pool::parallel_map_reduce`] folds mapped values serially
-//!   left-to-right by index, so floating-point accumulation order — and
-//!   hence the result bits — never depends on which thread ran what;
 //! * [`Pool::parallel_rows`] hands each row band to exactly one job, so a
 //!   per-row computation is bit-identical to the serial loop;
-//! * [`Pool::parallel_for`] / [`Pool::parallel_for_chunked`] guarantee
-//!   nothing about cross-iteration ordering — callers must only touch
-//!   disjoint state per index.
+//! * band boundaries, and [`Pool::lanes`] which kernels size them by, are
+//!   scheduling only: they decide which job writes a row, never the
+//!   order in which a row's value is computed.
 //!
 //! `tests/parallel_determinism.rs` at the workspace root locks serial ==
 //! 2/4/8-thread execution bit-exactly for every hot path built on these
@@ -66,8 +68,6 @@
 
 mod latch;
 mod scope;
-
-pub use scope::Scope;
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use std::cell::RefCell;
@@ -220,6 +220,16 @@ impl Pool {
         self.shared.threads
     }
 
+    /// Lanes a kernel of uniform work can usefully fan out to:
+    /// `min(threads, host CPUs)`. A pool configured with more threads than
+    /// the host has cores gains nothing from extra bands of uniform work,
+    /// it only pays scheduling overhead. Purely a performance hint — band
+    /// boundaries never affect results — so consulting host topology keeps
+    /// runs bit-identical across machines.
+    pub fn lanes(&self) -> usize {
+        self.threads().min(host_parallelism())
+    }
+
     /// Runs `f` with this pool installed as the thread's current pool, so
     /// every `dfpool`-aware hot path inside `f` uses it.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -292,107 +302,46 @@ impl Pool {
     // Parallel primitives
     // -----------------------------------------------------------------
 
-    /// Runs `f` with a [`Scope`] in which non-`'static` jobs can be
+    /// Runs `f` with a [`scope::Scope`] in which non-`'static` jobs can be
     /// spawned; returns after every spawned job has finished. The first
     /// job panic (or a panic in `f`) resumes on the caller.
-    pub fn scoped<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
+    pub(crate) fn scoped<'env, R>(&self, f: impl FnOnce(&scope::Scope<'_, 'env>) -> R) -> R {
         scope::run_scoped(self, f)
     }
 
-    /// Calls `f(i)` for every `i` in `range`, in parallel. No ordering of
-    /// side effects between iterations — `f` must only touch disjoint state
-    /// per index.
-    pub fn parallel_for<F>(&self, range: std::ops::Range<usize>, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let start = range.start;
-        self.parallel_for_chunked(range.len(), 1, |chunk| {
-            for i in chunk {
-                f(start + i);
-            }
-        });
-    }
-
-    /// Splits `0..len` into contiguous chunks of at least `min_chunk`
-    /// items (one chunk per thread-lane at most) and runs `f(chunk)` in
-    /// parallel.
-    pub fn parallel_for_chunked<F>(&self, len: usize, min_chunk: usize, f: F)
-    where
-        F: Fn(std::ops::Range<usize>) + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let chunk = chunk_size(len, min_chunk, self.threads());
-        if self.threads() == 1 || chunk >= len {
-            f(0..len);
-            return;
-        }
-        self.scoped(|s| {
-            let mut start = 0;
-            while start < len {
-                let end = (start + chunk).min(len);
-                let f = &f;
-                s.spawn(move || f(start..end));
-                start = end;
-            }
-        });
-    }
-
     /// Maps `f` over `0..len` into a `Vec` whose order is by index —
-    /// deterministic regardless of scheduling.
+    /// deterministic regardless of scheduling. The result slots are cut
+    /// into bands of at least `min_chunk` items, as by
+    /// [`Pool::parallel_rows`] with one slot per row.
     pub fn parallel_map<T, F>(&self, len: usize, min_chunk: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if len == 0 {
-            return Vec::new();
-        }
         if self.threads() == 1 {
             return (0..len).map(f).collect();
         }
         let mut slots: Vec<Option<T>> = Vec::with_capacity(len);
         slots.resize_with(len, || None);
-        let slots_ptr = SlotWriter { ptr: slots.as_mut_ptr() };
-        self.parallel_for_chunked(len, min_chunk, |chunk| {
-            for i in chunk {
-                // SAFETY: each index is written by exactly one chunk, and
-                // parallel_for_chunked does not return until all chunks are
-                // done, so writes are disjoint and complete before reads.
-                unsafe { slots_ptr.write(i, f(i)) };
+        self.parallel_rows(&mut slots, 1, min_chunk, |first, band| {
+            for (i, slot) in band.iter_mut().enumerate() {
+                *slot = Some(f(first + i));
             }
         });
-        slots.into_iter().map(|s| s.expect("slot filled by its chunk")).collect()
+        slots.into_iter().map(|s| s.expect("slot filled by its band")).collect()
     }
 
     /// Splits a flat `rows * row_len` buffer into contiguous row bands and
     /// runs `f(first_row, band)` on each in parallel. Each row is written
     /// by exactly one job, so results are identical to the serial loop
     /// whenever `f`'s per-row work is order-independent across rows.
+    ///
+    /// Every band but the last has `max(rows.div_ceil(4 * threads),
+    /// min_rows)` rows, so a caller that passes a `min_rows` at least that
+    /// large chooses the bands exactly. A single band (or a one-thread
+    /// pool) runs inline on the calling thread without touching the queues.
     pub fn parallel_rows<T, F>(&self, data: &mut [T], row_len: usize, min_rows: usize, f: F)
     where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        self.parallel_rows_aligned(data, row_len, min_rows, 1, f)
-    }
-
-    /// [`Pool::parallel_rows`] with a band-granularity hint for blocked
-    /// kernels: every band (except possibly the last) covers a multiple of
-    /// `align` rows, so a cache-blocked kernel whose register/cache tiles
-    /// span `align` rows never sees a tile split across two jobs. Band
-    /// boundaries are a scheduling choice only — each row is still written
-    /// by exactly one job, so results are unchanged by `align`.
-    pub fn parallel_rows_aligned<T, F>(
-        &self,
-        data: &mut [T],
-        row_len: usize,
-        min_rows: usize,
-        align: usize,
-        f: F,
-    ) where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
@@ -401,111 +350,17 @@ impl Pool {
         }
         assert_eq!(data.len() % row_len, 0, "buffer not a whole number of rows");
         let rows = data.len() / row_len;
-        let align = align.max(1);
-        let band = chunk_size(rows, min_rows, self.threads()).div_ceil(align) * align;
+        let band = band_rows(rows, min_rows, self.threads());
         if self.threads() == 1 || band >= rows {
             f(0, data);
             return;
         }
         self.scoped(|s| {
-            let mut rest = data;
-            let mut row0 = 0;
-            while !rest.is_empty() {
-                let take = band.min(rows - row0) * row_len;
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
+            for (i, chunk) in data.chunks_mut(band * row_len).enumerate() {
                 let f = &f;
-                let first = row0;
-                s.spawn(move || f(first, head));
-                row0 += band;
+                s.spawn(move || f(i * band, chunk));
             }
         });
-    }
-
-    /// Splits a flat `rows * row_len` buffer into a 2-D grid of disjoint
-    /// rectangular tiles and runs `f(tile)` on each in parallel.
-    ///
-    /// `row_splits` / `col_splits` are ascending boundary lists that must
-    /// start at 0 and end at the row / column count; consecutive pairs
-    /// delimit the tiles, so `[0, 64, 97]` × `[0, 16, 37]` yields four
-    /// tiles. Each element of `data` belongs to exactly one tile, so — as
-    /// with [`Pool::parallel_rows`] — results are identical to the serial
-    /// loop whenever `f`'s per-element work is order-independent across
-    /// tiles. Unlike row bands, tiles let a kernel with few rows but many
-    /// columns (or vice versa) still feed every lane.
-    ///
-    /// A single-tile grid (or a one-thread pool) runs inline on the
-    /// calling thread without touching the queues at all.
-    pub fn parallel_tiles<T, F>(
-        &self,
-        data: &mut [T],
-        row_len: usize,
-        row_splits: &[usize],
-        col_splits: &[usize],
-        f: F,
-    ) where
-        T: Send,
-        F: Fn(Tile<'_, T>) + Sync,
-    {
-        if data.is_empty() || row_len == 0 {
-            return;
-        }
-        assert_eq!(data.len() % row_len, 0, "buffer not a whole number of rows");
-        let rows = data.len() / row_len;
-        validate_splits(row_splits, rows, "row");
-        validate_splits(col_splits, row_len, "col");
-        let tiles = (row_splits.len() - 1) * (col_splits.len() - 1);
-        if tiles == 1 || self.threads() == 1 {
-            f(Tile::full(data, row_len));
-            return;
-        }
-        let base = TileBase { ptr: data.as_mut_ptr() };
-        self.scoped(|s| {
-            for rw in row_splits.windows(2) {
-                for cw in col_splits.windows(2) {
-                    let (r0, r1, c0, c1) = (rw[0], rw[1], cw[0], cw[1]);
-                    let f = &f;
-                    let base = &base;
-                    s.spawn(move || {
-                        // SAFETY: validated splits make every (row, col)
-                        // range disjoint from every other tile's, and the
-                        // scope joins before `data`'s borrow ends.
-                        let tile =
-                            unsafe { Tile::from_raw(base.ptr, row_len, r0, r1 - r0, c0, c1 - c0) };
-                        f(tile);
-                    });
-                }
-            }
-        });
-    }
-
-    /// Parallel map + **serial, in-order** fold: exactly equivalent to
-    /// `(0..len).map(f).fold(init, fold)` for any thread count, because the
-    /// mapped values are folded left-to-right by index. This is the
-    /// primitive the hot paths use to stay bit-identical to serial
-    /// execution (floating-point accumulation order never changes).
-    pub fn parallel_map_reduce<T, A, F, G>(
-        &self,
-        len: usize,
-        min_chunk: usize,
-        f: F,
-        init: A,
-        mut fold: G,
-    ) -> A
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        G: FnMut(A, T) -> A,
-    {
-        if self.threads() == 1 || len <= min_chunk.max(1) {
-            return (0..len).map(f).fold(init, fold);
-        }
-        let mapped = self.parallel_map(len, min_chunk, f);
-        let mut acc = init;
-        for v in mapped {
-            acc = fold(acc, v);
-        }
-        acc
     }
 }
 
@@ -532,145 +387,12 @@ fn instrumented_job(job: Job) -> Job {
     })
 }
 
-/// A mutable view of one rectangular tile of a flat `rows × row_len`
-/// buffer, handed to [`Pool::parallel_tiles`] jobs. Rows within the tile
-/// are *not* contiguous in the underlying buffer (the tile may cover a
-/// column sub-range), so access goes through [`Tile::row`] /
-/// [`Tile::row_mut`], which return the tile's slice of one buffer row.
-pub struct Tile<'a, T> {
-    base: *mut T,
-    row_len: usize,
-    first_row: usize,
-    rows: usize,
-    first_col: usize,
-    cols: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: a Tile is an exclusive view of a disjoint rectangle (enforced by
-// `parallel_tiles`' validated splits), so moving it to another thread moves
-// exclusive access to that rectangle with it.
-unsafe impl<T: Send> Send for Tile<'_, T> {}
-
-impl<'a, T> Tile<'a, T> {
-    /// A tile covering the entire buffer — the inline/serial view.
-    pub fn full(data: &'a mut [T], row_len: usize) -> Tile<'a, T> {
-        assert_eq!(data.len() % row_len.max(1), 0, "buffer not a whole number of rows");
-        let rows = data.len().checked_div(row_len).unwrap_or(0);
-        Tile {
-            base: data.as_mut_ptr(),
-            row_len,
-            first_row: 0,
-            rows,
-            first_col: 0,
-            cols: row_len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// # Safety
-    /// The rectangle must be in-bounds for the buffer behind `base`, and no
-    /// other live reference (or tile) may overlap it for `'a`.
-    unsafe fn from_raw(
-        base: *mut T,
-        row_len: usize,
-        first_row: usize,
-        rows: usize,
-        first_col: usize,
-        cols: usize,
-    ) -> Tile<'a, T> {
-        Tile { base, row_len, first_row, rows, first_col, cols, _marker: std::marker::PhantomData }
-    }
-
-    /// First buffer row covered by this tile.
-    pub fn first_row(&self) -> usize {
-        self.first_row
-    }
-
-    /// Number of rows in the tile.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// First buffer column covered by this tile.
-    pub fn first_col(&self) -> usize {
-        self.first_col
-    }
-
-    /// Number of columns in the tile.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The tile's portion of tile-relative row `r`.
-    pub fn row(&self, r: usize) -> &[T] {
-        assert!(r < self.rows, "tile row {r} out of {} rows", self.rows);
-        // SAFETY: in-bounds by construction; shared borrow of self.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.base.add((self.first_row + r) * self.row_len + self.first_col),
-                self.cols,
-            )
-        }
-    }
-
-    /// Mutable access to the tile's portion of tile-relative row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        assert!(r < self.rows, "tile row {r} out of {} rows", self.rows);
-        // SAFETY: in-bounds by construction; exclusive borrow of self, and
-        // the tile's rectangle is disjoint from every other tile's.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.base.add((self.first_row + r) * self.row_len + self.first_col),
-                self.cols,
-            )
-        }
-    }
-}
-
-/// Shared base pointer for `parallel_tiles` jobs (tiles are disjoint).
-struct TileBase<T> {
-    ptr: *mut T,
-}
-
-// SAFETY: jobs only dereference through disjoint Tile rectangles.
-unsafe impl<T: Send> Sync for TileBase<T> {}
-unsafe impl<T: Send> Send for TileBase<T> {}
-
-/// Asserts a split boundary list is ascending, starts at 0 and ends at
-/// `total`.
-fn validate_splits(splits: &[usize], total: usize, axis: &str) {
-    assert!(
-        splits.len() >= 2 && splits[0] == 0 && *splits.last().expect("len checked") == total,
-        "{axis} splits must run 0..={total}, got {splits:?}"
-    );
-    assert!(
-        splits.windows(2).all(|w| w[0] < w[1]),
-        "{axis} splits must be strictly ascending, got {splits:?}"
-    );
-}
-
-/// Raw-pointer slot writer for `parallel_map`. Soundness contract: callers
-/// write disjoint indices and join before the owner reads.
-struct SlotWriter<T> {
-    ptr: *mut Option<T>,
-}
-
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-unsafe impl<T: Send> Send for SlotWriter<T> {}
-
-impl<T> SlotWriter<T> {
-    unsafe fn write(&self, index: usize, value: T) {
-        unsafe { *self.ptr.add(index) = Some(value) };
-    }
-}
-
-/// Chunk size balancing grain (`min_chunk`) against one-chunk-per-lane
-/// splitting; at most `4 * threads` chunks for cheap stealing without
+/// Rows per band, balancing grain (`min_rows`) against one-band-per-lane
+/// splitting; at most `4 * threads` bands for cheap stealing without
 /// queue flooding.
-fn chunk_size(len: usize, min_chunk: usize, threads: usize) -> usize {
-    let target_chunks = threads.saturating_mul(4).max(1);
-    len.div_ceil(target_chunks).max(min_chunk.max(1))
+fn band_rows(rows: usize, min_rows: usize, threads: usize) -> usize {
+    let target_bands = threads.saturating_mul(4).max(1);
+    rows.div_ceil(target_bands).max(min_rows.max(1))
 }
 
 thread_local! {
@@ -743,13 +465,8 @@ pub fn serial() -> Pool {
 }
 
 /// CPUs visible to this process (cached after the first call; 1 when the
-/// query fails). Band-granularity policies clamp their fan-out with this:
-/// a pool configured with more threads than the host has cores gains
-/// nothing from extra bands of uniform work, it only pays scheduling
-/// overhead. Purely a performance hint — band boundaries never affect
-/// results (each output element's accumulation order is band-invariant),
-/// so consulting host topology keeps runs bit-identical across machines.
-pub fn host_parallelism() -> usize {
+/// query fails); read only through [`Pool::lanes`].
+fn host_parallelism() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
@@ -758,6 +475,7 @@ pub fn host_parallelism() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{mpsc, Barrier};
 
     #[test]
     fn parallel_map_matches_serial_for_all_thread_counts() {
@@ -767,40 +485,6 @@ mod tests {
             let got = pool.parallel_map(1000, 1, |i| (i as u64) * (i as u64) + 1);
             assert_eq!(got, expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn map_reduce_is_order_preserving() {
-        // Non-commutative fold: order changes the result, so equality with
-        // the serial fold proves index order.
-        let serial: String = (0..200).map(|i| format!("{i},")).fold(String::new(), |a, b| a + &b);
-        for threads in [1, 2, 4, 7] {
-            let pool = Pool::new(threads);
-            let got =
-                pool.parallel_map_reduce(200, 3, |i| format!("{i},"), String::new(), |a, b| a + &b);
-            assert_eq!(got, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        let pool = Pool::new(4);
-        let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(0..257, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn chunked_covers_range_without_overlap() {
-        let pool = Pool::new(3);
-        let sum = AtomicU64::new(0);
-        pool.parallel_for_chunked(10_000, 64, |chunk| {
-            let local: u64 = chunk.map(|i| i as u64).sum();
-            sum.fetch_add(local, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 9_999u64 * 10_000 / 2);
     }
 
     #[test]
@@ -835,12 +519,60 @@ mod tests {
         }
     }
 
+    /// A job that panics inside `parallel_map` reaches the caller, and the
+    /// pool keeps all four lanes. Four one-item bands that each wait on one
+    /// shared barrier occupy all four lanes at once, so the item chosen to
+    /// panic — the first past the barrier off the calling thread — panics
+    /// on a worker; afterwards the same four-band barrier can only release
+    /// if every lane is still there. The body runs under a watchdog so a
+    /// lost lane fails instead of hanging the test.
+    #[test]
+    fn panicking_job_loses_no_lane() {
+        let (done, finished) = mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let pool = Pool::new(4);
+            let caller = std::thread::current().id();
+            let barrier = Barrier::new(4);
+            let armed = AtomicBool::new(true);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_map(4, 1, |i| {
+                    barrier.wait();
+                    let on_worker = std::thread::current().id() != caller;
+                    if on_worker && armed.swap(false, Ordering::SeqCst) {
+                        panic!("boom-on-a-worker");
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("panic should reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom-on-a-worker"));
+
+            let mut rows = vec![0usize; 4];
+            pool.parallel_rows(&mut rows, 1, 1, |first, band| {
+                barrier.wait();
+                band[0] = first + 1;
+            });
+            done.send(rows).expect("watchdog still listening");
+        });
+        match finished.recv_timeout(Duration::from_secs(30)) {
+            Ok(rows) => assert_eq!(rows, vec![1, 2, 3, 4]),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("pool lost a lane: the four-band barrier never released")
+            }
+            // The body panicked; joining below re-raises its panic.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
     #[test]
     fn nested_parallelism_completes() {
         let pool = Pool::new(4);
         let out = pool.parallel_map(8, 1, |i| {
             // Nested primitive on the same pool from inside a job.
-            current().parallel_map_reduce(16, 1, |j| (i * j) as u64, 0u64, |a, b| a + b)
+            current().parallel_map(16, 1, |j| (i * j) as u64).into_iter().sum::<u64>()
         });
         let expect: Vec<u64> = (0..8).map(|i| (0..16).map(|j| (i * j) as u64).sum()).collect();
         assert_eq!(out, expect);
@@ -854,6 +586,12 @@ mod tests {
         // Workers resolve current() to their own pool.
         let via_worker = pool.install(|| current().parallel_map(4, 1, |_| current().threads()));
         assert!(via_worker.iter().all(|&t| t == 2));
+    }
+
+    #[test]
+    fn lanes_are_bounded_by_threads_and_host() {
+        assert_eq!(Pool::new(1).lanes(), 1);
+        assert_eq!(Pool::new(64).lanes(), 64.min(host_parallelism()));
     }
 
     #[test]
@@ -876,100 +614,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn aligned_bands_cover_all_rows_and_respect_alignment() {
-        for threads in [1, 2, 4] {
-            for align in [1, 3, 4, 7] {
-                let pool = Pool::new(threads);
-                let row_len = 5;
-                let rows = 29;
-                let mut data = vec![0u64; rows * row_len];
-                let starts = Mutex::new(Vec::new());
-                pool.parallel_rows_aligned(&mut data, row_len, 1, align, |first_row, band| {
-                    starts.lock().unwrap_or_else(|p| p.into_inner()).push(first_row);
-                    for (r, row) in band.chunks_mut(row_len).enumerate() {
-                        for v in row.iter_mut() {
-                            *v += (first_row + r + 1) as u64;
-                        }
-                    }
-                });
-                // Every row written exactly once, with its own value.
-                for r in 0..rows {
-                    for c in 0..row_len {
-                        assert_eq!(
-                            data[r * row_len + c],
-                            (r + 1) as u64,
-                            "threads={threads} align={align}"
-                        );
-                    }
-                }
-                // Every band starts on an alignment boundary.
-                for s in starts.lock().unwrap_or_else(|p| p.into_inner()).iter() {
-                    assert_eq!(s % align, 0, "threads={threads} align={align} start={s}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_tiles_cover_the_grid_without_overlap() {
-        for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
-            let (rows, cols) = (13, 11);
-            let mut data = vec![0u64; rows * cols];
-            let row_splits = [0usize, 4, 8, 13];
-            let col_splits = [0usize, 8, 11];
-            pool.parallel_tiles(&mut data, cols, &row_splits, &col_splits, |mut tile| {
-                for r in 0..tile.rows() {
-                    let (fr, fc) = (tile.first_row(), tile.first_col());
-                    for (c, v) in tile.row_mut(r).iter_mut().enumerate() {
-                        *v += ((fr + r) * 100 + fc + c + 1) as u64;
-                    }
-                }
-            });
-            for r in 0..rows {
-                for c in 0..cols {
-                    assert_eq!(data[r * cols + c], (r * 100 + c + 1) as u64, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_tile_grid_runs_inline() {
-        let pool = Pool::new(4);
-        let tid = std::thread::current().id();
-        let mut data = vec![0u64; 6];
-        let ran_on = Mutex::new(None);
-        pool.parallel_tiles(&mut data, 3, &[0, 2], &[0, 3], |_tile| {
-            *ran_on.lock().unwrap_or_else(|p| p.into_inner()) = Some(std::thread::current().id());
-        });
-        assert_eq!(ran_on.into_inner().unwrap_or_else(|p| p.into_inner()), Some(tid));
-    }
-
-    #[test]
-    fn tile_rows_expose_the_right_region() {
-        let mut data: Vec<u64> = (0..20).collect(); // 4 rows × 5 cols
-        let pool = Pool::new(2);
-        pool.parallel_tiles(&mut data, 5, &[0, 2, 4], &[0, 2, 5], |tile| {
-            for r in 0..tile.rows() {
-                let row = tile.row(r);
-                for (c, &v) in row.iter().enumerate() {
-                    let expect = ((tile.first_row() + r) * 5 + tile.first_col() + c) as u64;
-                    assert_eq!(v, expect);
-                }
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "row splits")]
-    fn tiles_reject_bad_splits() {
-        let pool = Pool::new(1);
-        let mut data = vec![0u64; 12];
-        pool.parallel_tiles(&mut data, 4, &[0, 2], &[0, 4], |_| {});
     }
 
     #[test]

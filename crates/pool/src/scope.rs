@@ -1,6 +1,6 @@
 //! Scoped (non-`'static`) job spawning.
 //!
-//! The one `unsafe` trick in this crate lives here: a spawned closure may
+//! The crate's one raw operation lives here: a spawned closure may
 //! borrow from the caller's stack (`'env`), but the pool's queues hold
 //! `'static` jobs, so the lifetime is erased with a transmute. Soundness
 //! rests on a single invariant, enforced by [`run_scoped`]'s wait guard:
@@ -32,7 +32,7 @@ impl ScopeState {
 
 /// Spawn handle passed to the closure of [`Pool::scoped`]. Jobs may borrow
 /// anything that outlives the `scoped` call (`'env`).
-pub struct Scope<'pool, 'env> {
+pub(crate) struct Scope<'pool, 'env> {
     pool: &'pool Pool,
     state: Arc<ScopeState>,
     /// Invariant over 'env, like std's scoped threads.
@@ -42,7 +42,7 @@ pub struct Scope<'pool, 'env> {
 impl<'pool, 'env> Scope<'pool, 'env> {
     /// Queues `f` on the pool. On a one-lane pool it runs inline, so the
     /// serial fallback has identical semantics (including panic capture).
-    pub fn spawn<F>(&self, f: F)
+    pub(crate) fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -69,11 +69,6 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // Box<dyn FnOnce> is lifetime-independent.
         let job: Job = unsafe { std::mem::transmute(job) };
         self.pool.push_job(job);
-    }
-
-    /// The pool this scope spawns onto.
-    pub fn pool(&self) -> &Pool {
-        self.pool
     }
 }
 

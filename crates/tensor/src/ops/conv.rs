@@ -257,7 +257,7 @@ fn col2im_add(gxb: &mut [f32], gcolt: &[f32], g: Geom) {
     let in_sp = g.in_spatial();
     let ksz = g.kd * g.kh * g.kw;
     let pool = dfpool::current();
-    let lanes = pool.threads().min(dfpool::host_parallelism()).max(1);
+    let lanes = pool.lanes();
     let min_rows =
         if g.spatial() * g.kdim() < PAR_COPY_CUTOFF_ELEMS { g.c } else { g.c.div_ceil(lanes) };
     pool.parallel_rows(gxb, in_sp, min_rows, |first, band| {

@@ -43,7 +43,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// Asserts `f` produces the reference bits for every available micro-kernel
 /// edition on 1/2/4/8-thread pools. `with_forced` pins the edition on the
 /// calling thread; `gemm` resolves it once at entry and carries it into the
-/// pool jobs, so the forced edition covers the parallel tiles too.
+/// pool jobs, so the forced edition covers the row-band jobs too.
 fn assert_matches_reference(want: &Tensor, f: impl Fn() -> Tensor) -> Result<(), TestCaseError> {
     for path in microkernel::available_paths() {
         for threads in [1usize, 2, 4, 8] {
@@ -176,6 +176,26 @@ fn gemm_blocking_boundaries_fixed_case() {
         for threads in [1usize, 2, 4, 8] {
             let got = pool(threads).install(|| microkernel::with_forced(path, || a.matmul(&b)));
             assert_eq!(bits(&got), bits(&want), "{} threads {threads}", path.label());
+        }
+    }
+}
+
+/// Production-size GEMMs above the serial cutoff, so on any host with two
+/// or more CPUs the 2/4/8-thread pools take the row-band path: the conv1
+/// forward of a batch-4 micro-batch (`m = 2048, k = 2000, n = 4`), and a
+/// ragged `m = 1537` whose last band is short and ends mid MR panel.
+#[test]
+fn gemm_row_bands_at_production_shapes_match_reference_bitwise() {
+    let mut r = rng(2048);
+    for m in [2048usize, 1537] {
+        let a = Tensor::randn(&[m, 2000], &mut r);
+        let b = Tensor::randn(&[2000, 4], &mut r);
+        let want = reference::matmul(&a, &b);
+        for path in microkernel::available_paths() {
+            for threads in [1usize, 2, 4, 8] {
+                let got = pool(threads).install(|| microkernel::with_forced(path, || a.matmul(&b)));
+                assert_eq!(bits(&got), bits(&want), "m={m} {} threads {threads}", path.label());
+            }
         }
     }
 }

@@ -1,57 +1,38 @@
 //! Property-based tests for the `dfpool` work-stealing runtime.
 //!
-//! The pool's determinism contract — ordered collection, serial in-order
-//! reduction — must hold for **every** combination of input length, chunk
+//! The pool's determinism contract — ordered collection, disjoint row
+//! bands — must hold for **every** combination of input length, band
 //! granularity and thread count, not just the sizes the hot paths happen
 //! to use. These properties drive the primitives across that whole space
 //! and require exact equality with the serial reference.
 
 use dfpool::Pool;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
-/// A deliberately ugly per-index value: non-monotonic, sign-flipping and
-/// irrational-ish, so reordered float accumulation would actually differ.
-fn probe(i: usize) -> f64 {
-    let x = i as f64;
-    (x * 0.7391 + 1.3).sin() * (x + 0.5).sqrt() * if i.is_multiple_of(3) { -1.0 } else { 1.0 }
+/// Runs `parallel_rows` over `rows × row_len` elements and returns every
+/// band as `(first_row, row_count)`, sorted by first row. Each band also
+/// stamps its rows, and the stamps are checked: a band's slice must be
+/// exactly the rows it was told it starts at.
+fn bands(threads: usize, rows: usize, row_len: usize, min_rows: usize) -> Vec<(usize, usize)> {
+    let seen = Mutex::new(Vec::new());
+    let mut data = vec![usize::MAX; rows * row_len];
+    Pool::new(threads).parallel_rows(&mut data, row_len, min_rows, |first, band| {
+        for (r, row) in band.chunks_mut(row_len).enumerate() {
+            row.fill(first + r);
+        }
+        seen.lock().unwrap().push((first, band.len() / row_len));
+    });
+    for (i, v) in data.iter().enumerate() {
+        assert_eq!(*v, i / row_len, "element {i} not written by its own row's band");
+    }
+    let mut got = seen.into_inner().unwrap();
+    got.sort_unstable();
+    got
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `parallel_map_reduce` equals the serial fold **bit-for-bit** for
-    /// arbitrary lengths, chunk sizes and thread counts, even though
-    /// float addition is non-associative.
-    #[test]
-    fn map_reduce_equals_serial_fold(
-        len in 0usize..400,
-        min_chunk in 1usize..64,
-        threads in 1usize..5,
-    ) {
-        let serial = (0..len).map(probe).fold(0.125f64, |a, v| a + v);
-        let pooled = Pool::new(threads)
-            .parallel_map_reduce(len, min_chunk, probe, 0.125f64, |a, v| a + v);
-        prop_assert_eq!(serial.to_bits(), pooled.to_bits());
-    }
-
-    /// The fold is applied left-to-right by index: with a non-commutative
-    /// fold the result encodes the exact visit order.
-    #[test]
-    fn map_reduce_folds_in_index_order(
-        len in 0usize..200,
-        min_chunk in 1usize..32,
-        threads in 1usize..5,
-    ) {
-        let pooled = Pool::new(threads).parallel_map_reduce(
-            len,
-            min_chunk,
-            |i| i,
-            Vec::new(),
-            |mut acc: Vec<usize>, v| { acc.push(v); acc },
-        );
-        let serial: Vec<usize> = (0..len).collect();
-        prop_assert_eq!(pooled, serial);
-    }
 
     /// `parallel_map` returns results positioned by input index.
     #[test]
@@ -64,27 +45,40 @@ proptest! {
         prop_assert_eq!(out, (0..len).map(|i| i * i + 1).collect::<Vec<usize>>());
     }
 
-    /// `parallel_for_chunked` covers 0..len exactly once with contiguous,
-    /// non-overlapping ranges regardless of granularity and thread count.
+    /// `parallel_rows` covers every row exactly once with contiguous,
+    /// non-empty bands regardless of granularity and thread count.
     #[test]
     fn chunked_ranges_partition_the_input(
-        len in 0usize..200,
-        min_chunk in 1usize..64,
+        rows in 0usize..200,
+        row_len in 1usize..5,
+        min_rows in 1usize..64,
         threads in 1usize..5,
     ) {
-        use std::sync::Mutex;
-        let ranges: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-        Pool::new(threads).parallel_for_chunked(len, min_chunk, |r| {
-            ranges.lock().unwrap().push((r.start, r.end));
-        });
-        let mut got = ranges.into_inner().unwrap();
-        got.sort_unstable();
         let mut next = 0usize;
-        for (s, e) in got {
-            prop_assert_eq!(s, next, "gap or overlap at {}", s);
-            prop_assert!(e > s, "empty chunk");
-            next = e;
+        for (first, count) in bands(threads, rows, row_len, min_rows) {
+            prop_assert_eq!(first, next, "gap or overlap at {}", first);
+            prop_assert!(count > 0, "empty band");
+            next = first + count;
         }
-        prop_assert_eq!(next, len, "coverage stops early");
+        prop_assert_eq!(next, rows, "coverage stops early");
+    }
+
+    /// The invariant the banded GEMM relies on: on a multi-thread pool,
+    /// once `min_rows` is at least `rows.div_ceil(4 * threads)`, the caller
+    /// chooses the bands exactly — every band but the last is `min_rows`
+    /// rows. (A one-thread pool runs one band, and GEMM never pools there.)
+    #[test]
+    fn min_rows_sets_every_band_but_the_last(
+        rows in 1usize..400,
+        extra in 0usize..64,
+        threads in 2usize..5,
+    ) {
+        let min_rows = rows.div_ceil(4 * threads) + extra;
+        let got = bands(threads, rows, 3, min_rows);
+        let (_, last) = got[got.len() - 1];
+        prop_assert!(last <= min_rows, "last band of {} rows", last);
+        for &(first, count) in &got[..got.len() - 1] {
+            prop_assert_eq!(count, min_rows, "band at row {} has {} rows", first, count);
+        }
     }
 }

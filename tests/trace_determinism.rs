@@ -96,7 +96,7 @@ fn counters_recorded_inside_pool_workers_merge_exactly() {
     dftrace::reset();
     let n = 10_000usize;
     Pool::new(4).install(|| {
-        dfpool::current().parallel_for(0..n, |i| {
+        dfpool::current().parallel_map(n, 1, |i| {
             dftrace::counter_add("test.pool_merge", 1);
             if i % 2 == 0 {
                 dftrace::counter_add("test.pool_merge_even", 1);
@@ -116,7 +116,7 @@ fn histograms_recorded_inside_pool_workers_merge_exactly() {
     dftrace::reset();
     let n = 4_096usize;
     Pool::new(4).install(|| {
-        dfpool::current().parallel_for(0..n, |i| {
+        dfpool::current().parallel_map(n, 1, |i| {
             dftrace::observe_us("test.pool_hist", i as u64);
         });
     });
