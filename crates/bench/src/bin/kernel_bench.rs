@@ -2,8 +2,9 @@
 //!
 //! Runs the blocked GEMM / GEMM-lowered conv3d kernels against the naive
 //! reference oracle (`dftensor::ops::reference`) on matmul 160/512,
-//! conv3d 12/24-cube fwd+bwd and the forward-only production conv1 shape,
-//! across pools of 1, 2, 4 and 8 threads, and writes `BENCH_kernels.json`
+//! conv3d 12/24-cube fwd+bwd and the forward-only production conv1 shape —
+//! once over a dense random grid, once over real voxelized poses — across
+//! pools of 1, 2, 4 and 8 threads, and writes `BENCH_kernels.json`
 //! at the repo root. Besides wall-clock it records `bit_exact`: the
 //! optimized result compared `to_bits()` against the reference at every
 //! thread count — the determinism contract, not a tolerance check.
@@ -44,9 +45,16 @@
 //! covers the conv3d 24-cube that used to drift), conv3d 12-cube at least
 //! 1.5× over naive (full runs on this class of host measure well above
 //! 2×), the SIMD edition at least 2× over scalar on matmul 512 when one is
-//! active, the forward-only conv1 row at no less than 0.25× matmul 512's
-//! MAC/s, and — when `DFTRACE=1` — warm scratch-arena reuse.
+//! active, the dense forward-only conv1 row at no less than 0.25× matmul
+//! 512's MAC/s, the real-voxel conv1 row folding at most a third of its
+//! `m·n·k` MACs (`folded_fraction`, a count, not a timing), and — when
+//! `DFTRACE=1` — warm scratch-arena reuse.
 
+use dfchem::featurize::{voxelize, VoxelConfig};
+use dfchem::genmol::{Compound, Library};
+use dfchem::pocket::{BindingPocket, TargetSite};
+use dffusion::workflow::WorkflowConfig;
+use dfhts::{PoseSource, SyntheticPoseSource};
 use dfpool::Pool;
 use dftensor::ops::microkernel;
 use dftensor::ops::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward, reference};
@@ -59,9 +67,22 @@ use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The forward-only production-shape row the smoke run holds against
-/// `tensor_matmul_512`.
-const CONV1_FWD: &str = "tensor_conv3d_fwd_19x8_k5_12cube_b10";
+/// conv1 of the `WorkflowConfig::small` fusion model at the rescoring
+/// job's batch size: `[10, C, 12³]` input, `[8, C, 5³]` kernel, pad 2,
+/// with `C = VoxelConfig::NUM_CHANNELS`.
+const CONV1_BATCH: usize = 10;
+const CONV1_FILTERS: usize = 8;
+
+/// The forward-only production-shape row over a dense random grid, which
+/// the smoke run holds against `tensor_matmul_512`.
+fn conv1_dense_name() -> String {
+    format!("tensor_conv3d_fwd_{}x8_k5_12cube_b10", VoxelConfig::NUM_CHANNELS)
+}
+
+/// The same conv1 over real voxelized poses.
+fn conv1_voxels_name() -> String {
+    format!("tensor_conv3d_fwd_{}x8_k5_12cube_b10_voxels", VoxelConfig::NUM_CHANNELS)
+}
 
 #[derive(Serialize)]
 struct RunReport {
@@ -87,6 +108,10 @@ struct KernelReport {
     /// Optimized output matched the reference `to_bits()` at every thread
     /// count.
     bit_exact: bool,
+    /// `tensor.gemm.folded_macs / tensor.gemm.macs` over one optimized
+    /// call: the share of the GEMM's multiply-adds actually folded (below
+    /// 1.0 where the packer skips zero columns).
+    folded_fraction: f64,
     runs: Vec<RunReport>,
 }
 
@@ -149,6 +174,7 @@ fn bench_kernel(
     });
     // Bitwise check doubles as the per-pool warmup.
     let bit_exact = pools.iter().all(|pool| pool.install(opt) == want);
+    let folded_fraction = folded_fraction(&pools[0], opt);
     let mut best = [f64::INFINITY; THREAD_COUNTS.len()];
     for _ in 0..reps.max(1) {
         for (i, pool) in pools.iter().enumerate() {
@@ -169,7 +195,7 @@ fn bench_kernel(
     }
     let speedup_vs_naive = if gemm_serial_ms > 0.0 { naive_ms / gemm_serial_ms } else { 1.0 };
     let gmacs_per_s = if gemm_serial_ms > 0.0 { macs as f64 / gemm_serial_ms / 1e6 } else { 0.0 };
-    eprintln!("  {name}: naive {naive_ms:.2} ms, gemm {gemm_serial_ms:.2} ms ({speedup_vs_naive:.2}x, {gmacs_per_s:.2} GMAC/s), bit_exact {bit_exact}");
+    eprintln!("  {name}: naive {naive_ms:.2} ms, gemm {gemm_serial_ms:.2} ms ({speedup_vs_naive:.2}x, {gmacs_per_s:.2} GMAC/s), bit_exact {bit_exact}, folded {folded_fraction:.3}");
     KernelReport {
         name: name.to_string(),
         naive_ms,
@@ -177,8 +203,25 @@ fn bench_kernel(
         speedup_vs_naive,
         gmacs_per_s,
         bit_exact,
+        folded_fraction,
         runs,
     }
+}
+
+/// `tensor.gemm.folded_macs / tensor.gemm.macs` over one call of `opt`,
+/// traced for that call alone (tracing is left as it was found).
+fn folded_fraction(pool: &Pool, opt: &dyn Fn() -> Vec<u32>) -> f64 {
+    let was = dftrace::enabled();
+    dftrace::set_enabled(true);
+    let counts = || {
+        let t = dftrace::snapshot();
+        [t.counter("tensor.gemm.folded_macs"), t.counter("tensor.gemm.macs")]
+    };
+    let before = counts();
+    pool.install(opt);
+    let after = counts();
+    dftrace::set_enabled(was);
+    (after[0] - before[0]) as f64 / (after[1] - before[1]).max(1) as f64
 }
 
 /// Times the forced-scalar micro-kernel against the auto-detected edition
@@ -254,23 +297,38 @@ fn conv_macs(xshape: [usize; 5], wshape: [usize; 5], pad: usize) -> usize {
 /// two gradient passes no scorer executes.
 fn conv_fwd_kernel(
     name: &str,
-    xshape: [usize; 5],
+    x: &Tensor,
     wshape: [usize; 5],
     pad: usize,
     naive_reps: usize,
     reps: usize,
 ) -> KernelReport {
-    let mut r = rng(xshape[4] as u64);
-    let x = Tensor::randn(&xshape, &mut r);
-    let w = Tensor::randn(&wshape, &mut r);
+    let xshape: [usize; 5] = x.shape().try_into().expect("rank-5 input");
+    let w = Tensor::randn(&wshape, &mut rng(xshape[4] as u64 + 1));
     bench_kernel(
         name,
         conv_macs(xshape, wshape, pad),
         naive_reps,
         reps,
-        &|| bits(&reference::conv3d_forward(&x, &w, pad)),
-        &|| bits(&conv3d_forward(&x, &w, pad)),
+        &|| bits(&reference::conv3d_forward(x, &w, pad)),
+        &|| bits(&conv3d_forward(x, &w, pad)),
     )
+}
+
+/// `[CONV1_BATCH, C, D, H, W]` voxel grids of real poses, as the rescoring
+/// job makes them: one Chembl compound's synthetic poses in the Spike1
+/// pocket, voxelized with the `WorkflowConfig::small` grid.
+fn voxelized_poses() -> Tensor {
+    let voxel = WorkflowConfig::small(0).voxel;
+    let pocket = BindingPocket::generate(TargetSite::Spike1, 7);
+    let compound = Compound::materialize(Library::Chembl, 0, 7);
+    let poses =
+        SyntheticPoseSource { poses_per_compound: CONV1_BATCH }.poses(&compound, &pocket, 7);
+    let data: Vec<f32> =
+        poses.iter().flat_map(|p| voxelize(&voxel, p, &pocket).into_vec()).collect();
+    let mut shape = vec![CONV1_BATCH];
+    shape.extend(voxel.shape());
+    Tensor::from_vec(data, &shape)
 }
 
 /// A conv3d fwd + bwd-input + bwd-weight workload on a cubic grid.
@@ -325,6 +383,9 @@ fn main() {
     // (naive_reps, reps): smoke trades precision for CI time; matmul 160 is
     // the regression guard, so it keeps the most reps either way.
     let (mm_small, mm_large, cv) = if smoke { (7, 3, 3) } else { (15, 7, 15) };
+    let channels = VoxelConfig::NUM_CHANNELS;
+    let conv1_xshape = [CONV1_BATCH, channels, 12, 12, 12];
+    let conv1_wshape = [CONV1_FILTERS, channels, 5, 5, 5];
 
     let kernels = vec![
         matmul_kernel("tensor_matmul_160", 160, mm_small, mm_small),
@@ -338,12 +399,18 @@ fn main() {
             if smoke { 1 } else { 3 },
             cv,
         ),
-        // conv1 of the `WorkflowConfig::small` fusion model at the
-        // rescoring job's batch size.
         conv_fwd_kernel(
-            CONV1_FWD,
-            [10, 19, 12, 12, 12],
-            [8, 19, 5, 5, 5],
+            &conv1_dense_name(),
+            &Tensor::randn(&conv1_xshape, &mut rng(12)),
+            conv1_wshape,
+            2,
+            if smoke { 1 } else { 3 },
+            cv,
+        ),
+        conv_fwd_kernel(
+            &conv1_voxels_name(),
+            &voxelized_poses(),
+            conv1_wshape,
             2,
             if smoke { 1 } else { 3 },
             cv,
@@ -398,10 +465,20 @@ fn main() {
         let rate = |name: &str| {
             baseline.kernels.iter().find(|k| k.name == name).expect("kernel row").gmacs_per_s
         };
-        let share = rate(CONV1_FWD) / rate("tensor_matmul_512");
+        let dense = conv1_dense_name();
+        let share = rate(&dense) / rate("tensor_matmul_512");
         assert!(
             share >= 0.25,
-            "{CONV1_FWD} reaches only {share:.2} of matmul_512's MAC/s (floor 0.25)"
+            "{dense} reaches only {share:.2} of matmul_512's MAC/s (floor 0.25)"
+        );
+        // Skipping the empty voxels is a count, not a timing: at most a
+        // third of conv1's MACs on real poses are folded.
+        let voxels = conv1_voxels_name();
+        let row = baseline.kernels.iter().find(|k| k.name == voxels).expect("voxel row");
+        assert!(
+            3.0 * row.folded_fraction <= 1.0,
+            "{voxels} folds {:.3} of its MACs (ceiling 1/3)",
+            row.folded_fraction
         );
         if dftrace::enabled() {
             let trace = dftrace::snapshot();

@@ -28,8 +28,9 @@
 //!
 //! * **forward** — `outT = colT · Wᵀ`: A rows walk the row table, k the
 //!   tap table; the spatial-major product is transposed per sample into
-//!   the `[O, spatial]` tensor layout.
-//! * **backward-weight** — `gWᵀ = colTᵀ · goutT`: the same packer with the
+//!   the `[O, spatial]` tensor layout. Its packer ([`OccupiedCols`])
+//!   gathers only the taps that read an occupied voxel — see below.
+//! * **backward-weight** — `gWᵀ = colTᵀ · goutT`: the dense packer with the
 //!   tables swapped (A rows walk taps, k walks `(bn, s)`), against the
 //!   stacked spatial-major gradient; the ascending-k fold visits `(bn, s)`
 //!   in exactly the reference order, and the product is transposed into
@@ -40,7 +41,33 @@
 //!   per-sample col2im pass that walks spatial positions in ascending
 //!   order per input channel.
 //!
-//! The gathered panels are byte-for-byte what packing a materialized
+//! ## Skipping empty voxels in the forward
+//!
+//! A voxelized pose is mostly empty: each atom deposits into a few voxels
+//! of two of the 16 channels, so ~94% of conv1's packed A columns are zero
+//! in every row of their panel. `pad_input` also writes an occupancy bit
+//! per padded voxel — set unless the value is `±0.0`, so NaN and denormals
+//! count — laid out as one bit string along y per padded `(plane, x)`
+//! column, 64 voxels to a word. The forward widens it along x by
+//! `kw + MR - 1` columns ([`dilate`]), so a column's bit covers every tap
+//! a panel of rows starting there can read on that line.
+//!
+//! The k axis of a block is a sequence of *tap runs*: one `(ic, fz, fy)`
+//! row of `kw` taps, which reads one padded x-line per A row. The packer
+//! ([`OccupiedCols`]) decodes the block's runs once. The `kh` runs of one
+//! `(ic, fz)` group read consecutive lines of one plane, so per panel one
+//! AND on one widened column answers all of them — at the panel's first
+//! row when its rows are neighbours on one padded line, else row by row.
+//! It then gathers only the runs that hit, merged into ranges, with the
+//! dense packer's copy loop, and reports those ranges as the panel's
+//! spans, so `gemm_with` folds nothing else. Every skipped product is
+//! `±0.0 · w`, which the GEMM's fold may omit without changing a bit while
+//! `w` is finite; if any weight is NaN or ±inf, every bit of the widened
+//! occupancy is set, so every run hits. There is one forward path for
+//! every layer and shape: no density threshold and no dense fallback, and
+//! columns taller than 64 voxels take more words.
+//!
+//! The gathered spans are byte-for-byte what packing a materialized
 //! `colT` produces, so the micro-kernel sees the same operands and every
 //! output element keeps its single ascending-k accumulator: all three
 //! passes are bit-identical to [`crate::ops::reference`], across pool
@@ -50,7 +77,7 @@
 //! `dfserve` micro-batches do not allocate here.
 
 use crate::graph::{Graph, VarId};
-use crate::ops::gemm::{gemm, gemm_with, pack_b, Layout, KC, MC, MR};
+use crate::ops::gemm::{gemm, gemm_with, pack_b, Layout, Spans, KC, MC, MR};
 use crate::scratch::{self, Slot};
 use crate::tensor::Tensor;
 
@@ -115,6 +142,15 @@ impl Geom {
         let (dp, hp, wp) = self.padded();
         self.c * dp * hp * wp
     }
+    /// Padded x-columns `(plane, x)` of one sample, `C·Dp·Wp`.
+    fn padded_columns(&self) -> usize {
+        let (dp, _, wp) = self.padded();
+        self.c * dp * wp
+    }
+    /// Occupancy words per padded x-column: one bit per voxel along y.
+    fn column_words(&self) -> usize {
+        self.padded().1.div_ceil(64)
+    }
     /// `off(i)` over stacked output positions `i = (bn, zd, yh, xw)`.
     fn rows(&self) -> Offsets {
         let (_, hp, wp) = self.padded();
@@ -161,14 +197,44 @@ impl Offsets {
 }
 
 /// Writes the zero-padded copy of `x[N, C, D, H, W]` into
-/// `xpad[N, C, Dp, Hp, Wp]`, every element (arena contents are stale).
-fn pad_input(xpad: &mut [f32], x: &[f32], g: Geom) {
+/// `xpad[N, C, Dp, Hp, Wp]`, and its occupancy into `occ`: for padded
+/// plane `P = (bn·C + ic)·Dp + z` and column `x`, bit `y % 64` of word
+/// `(P·Wp + x)·yw + y / 64` is set iff `xpad` at `(P, y, x)` is not `±0.0`
+/// (`yw` words per column). Every element of both is written (arena
+/// contents are stale).
+fn pad_input(xpad: &mut [f32], occ: &mut [u64], x: &[f32], g: Geom) {
     let (dp, hp, wp) = g.padded();
+    let yw = g.column_words();
     xpad.fill(0.0);
+    occ.fill(0);
     for (q, plane) in x.chunks_exact(g.h * g.w).enumerate() {
-        let base = (((q / g.d * dp + q % g.d + g.pad) * hp) + g.pad) * wp + g.pad;
+        let p = q / g.d * dp + q % g.d + g.pad;
+        let columns = &mut occ[(p * wp + g.pad) * yw..(p * wp + g.pad + g.w) * yw];
         for (y, row) in plane.chunks_exact(g.w).enumerate() {
-            xpad[base + y * wp..base + y * wp + g.w].copy_from_slice(row);
+            let at = (p * hp + g.pad + y) * wp + g.pad;
+            xpad[at..at + g.w].copy_from_slice(row);
+            let (word, bit) = ((g.pad + y) / 64, (g.pad + y) % 64);
+            for (column, &v) in columns.chunks_exact_mut(yw).zip(row) {
+                // `!=` is false for ±0.0 only: NaN and denormals count.
+                column[word] |= u64::from(v != 0.0) << bit;
+            }
+        }
+    }
+}
+
+/// Widens the occupancy in place (`wp` columns of `yw` words per plane)
+/// so that column `x` holds the union of columns `x..x + width`.
+fn dilate(occ: &mut [u64], wp: usize, yw: usize, width: usize) {
+    for plane in occ.chunks_exact_mut(wp * yw) {
+        let mut covered = 1;
+        while covered < width {
+            let shift = covered.min(width - covered);
+            // Ascending, each word reads one `shift` columns further on,
+            // which this pass has not rewritten yet.
+            for i in 0..wp.saturating_sub(shift) * yw {
+                plane[i] |= plane[i + shift * yw];
+            }
+            covered += shift;
         }
     }
 }
@@ -182,56 +248,287 @@ struct Cols<'a> {
 }
 
 impl Cols<'_> {
-    /// Rows `row0..row0+mcb` × k range `pc..pc+kcb`, gathered from `xpad`
-    /// into `ops::gemm::pack_a`'s panel layout.
-    fn pack(&self, row0: usize, mcb: usize, pc: usize, kcb: usize, apack: &mut [f32]) {
+    /// Rows `row0..row0+mcb` × k range `pc..pc+kcb`, every column, as
+    /// `ops::gemm::gemm_with`'s A block.
+    fn pack(
+        &self,
+        row0: usize,
+        mcb: usize,
+        pc: usize,
+        kcb: usize,
+        apack: &mut [f32],
+        spans: &mut Spans,
+    ) {
         let (mut lanes, mut ks) = ([0; MC], [0; KC]);
         self.lanes.fill(row0, &mut lanes[..mcb]);
         self.ks.fill(pc, &mut ks[..kcb]);
         for (panel, l) in apack.chunks_exact_mut(kcb * MR).zip(lanes[..mcb].chunks(MR)) {
-            let steps = panel.chunks_exact_mut(MR).zip(&ks);
-            // Offsets strictly ascend along either table, so the span
-            // test says all MR lanes are neighbours in `xpad`.
-            if l.len() == MR && l[MR - 1] - l[0] == MR - 1 {
-                for (dst, &k) in steps {
-                    dst.copy_from_slice(&self.xpad[l[0] + k..l[0] + k + MR]);
-                }
-            } else {
-                for (dst, &k) in steps {
-                    for (r, d) in dst.iter_mut().enumerate() {
-                        *d = l.get(r).map_or(0.0, |&lane| self.xpad[lane + k]);
-                    }
-                }
+            gather(self.xpad, panel, l, &ks[..kcb]);
+        }
+        spans.dense(mcb.div_ceil(MR), kcb);
+    }
+}
+
+/// Gathers one panel's k steps `ks` from `xpad` into `dst`
+/// (`ops::gemm`'s panel layout), for the panel's lanes `l` (zero past
+/// `l.len()`).
+fn gather(xpad: &[f32], dst: &mut [f32], l: &[usize], ks: &[usize]) {
+    let steps = dst.chunks_exact_mut(MR).zip(ks);
+    // Offsets strictly ascend along either table, so the span
+    // test says all MR lanes are neighbours in `xpad`.
+    if l.len() == MR && l[MR - 1] - l[0] == MR - 1 {
+        for (dst, &k) in steps {
+            dst.copy_from_slice(&xpad[l[0] + k..l[0] + k + MR]);
+        }
+    } else {
+        for (dst, &k) in steps {
+            for (r, d) in dst.iter_mut().enumerate() {
+                *d = l.get(r).map_or(0.0, |&lane| xpad[lane + k]);
             }
         }
     }
 }
 
+/// The forward's `colT`, packed with only the taps that read an occupied
+/// voxel: the k axis is a sequence of *tap runs*, one `(ic, fz, fy)` row
+/// of `kw` taps each, and a run reads one padded x-line per A row. A panel
+/// packs and reports only the runs that hit an occupied voxel of some row
+/// (merged into ranges); every tap of a missed run reads `±0.0` for every
+/// row, which `gemm_with` may skip while the weights are finite.
+struct OccupiedCols<'a> {
+    xpad: &'a [f32],
+    /// Occupancy of `xpad` widened along x by `kw + MR - 1` (see
+    /// [`dilate`]): bit `y` of column `x` covers every tap of every run
+    /// that a panel of rows starting at `(y, x)` reads on line `y`. All
+    /// ones when a weight is NaN or ±inf, since `0.0 · w` is then not a
+    /// zero.
+    reach: &'a [u64],
+    g: Geom,
+}
+
+impl OccupiedCols<'_> {
+    fn pack(
+        &self,
+        row0: usize,
+        mcb: usize,
+        pc: usize,
+        kcb: usize,
+        apack: &mut [f32],
+        spans: &mut Spans,
+    ) {
+        let Geom { c, kd, kh, kw, od, oh, ow, .. } = self.g;
+        let (dp, hp, wp) = self.g.padded();
+        let yw = self.g.column_words();
+
+        // The block's rows: output position `(bn, zd, yh, xw)` reads its
+        // window from padded plane `bn·C·Dp + zd`, line `yh`, column `xw`
+        // on; `lanes` holds its `xpad` offset.
+        let mut lanes = [0; MC];
+        let mut at = [(0, 0, 0); MC];
+        let (mut xw, t) = (row0 % ow, row0 / ow);
+        let (mut yh, t) = (t % oh, t / oh);
+        let (mut zd, mut bn) = (t % od, t / od);
+        for (lane, at) in lanes[..mcb].iter_mut().zip(&mut at) {
+            let plane = bn * c * dp + zd;
+            (*lane, *at) = ((plane * hp + yh) * wp + xw, (plane, yh, xw));
+            xw += 1;
+            if xw == ow {
+                (xw, yh) = (0, yh + 1);
+                if yh == oh {
+                    (yh, zd) = (0, zd + 1);
+                    if zd == od {
+                        (zd, bn) = (0, bn + 1);
+                    }
+                }
+            }
+        }
+
+        // The block's runs: run `j` is tap row `t0 + j` = `(ic, fz, fy)`,
+        // at block columns `column(j)..column(j + 1)`. Decoding them once
+        // fills the tap table the gather reads.
+        let (t0, f) = (pc / kw, pc % kw);
+        let runs = (f + kcb).div_ceil(kw);
+        let column = |j: usize| (j * kw).saturating_sub(f).min(kcb);
+        let mut ks = [0; KC];
+        let (mut fy, mut fz, mut ic) = (t0 % kh, t0 / kh % kd, t0 / (kh * kd));
+        for j in 0..runs {
+            let (lo, hi) = (column(j), column(j + 1));
+            let tap = ((ic * dp + fz) * hp + fy) * wp + lo + f - j * kw;
+            for (k, o) in ks[lo..hi].iter_mut().zip(tap..) {
+                *k = o;
+            }
+            fy += 1;
+            if fy == kh {
+                (fy, fz) = (0, fz + 1);
+                if fz == kd {
+                    (fz, ic) = (0, ic + 1);
+                }
+            }
+        }
+
+        // Bit `j` of a panel's `hits` says run `j` reads an occupied voxel
+        // for some row. The runs of one `(ic, fz)` group read `kh`
+        // consecutive lines of one plane, so one AND on a column of
+        // `reach` answers all of them: at the panel's first row when all
+        // MR rows lie on one output line, else at every row. (With
+        // `kw = 1` a panel's rows are neighbours in `xpad` even across a
+        // line end, so contiguity alone would not do; a lone row's probe
+        // reads MR - 1 voxels too far, which only packs zeros.)
+        let (g0, g1, fy0) = (t0 / kh, (t0 + runs - 1) / kh, t0 % kh);
+        let mut hits = [[0u64; KC / 64]; MC / MR];
+        for ((l, at), hit) in lanes[..mcb].chunks(MR).zip(at.chunks(MR)).zip(&mut hits) {
+            let one_line = l.len() == MR && at[0].2 + MR <= ow;
+            for &(plane, y, x) in if one_line { &at[..1] } else { &at[..l.len()] } {
+                let mut bits = BitWriter { out: hit, word: 0, acc: 0, used: 0 };
+                let (mut fz, mut ic, mut from) = (g0 % kd, g0 / kd, fy0);
+                for _ in g0..=g1 {
+                    let col = ((plane + ic * dp + fz) * wp + x) * yw;
+                    let col = &self.reach[col..col + yw];
+                    while from < kh {
+                        let n = (kh - from).min(64);
+                        bits.push(bit_range(col, y + from, n), n);
+                        from += n;
+                    }
+                    from = 0;
+                    fz += 1;
+                    if fz == kd {
+                        (fz, ic) = (0, ic + 1);
+                    }
+                }
+                bits.finish();
+            }
+        }
+
+        // Gather each panel's hit runs, merged into column ranges.
+        let blocks = apack.chunks_exact_mut(kcb * MR).zip(lanes[..mcb].chunks(MR));
+        for ((panel, l), hit) in blocks.zip(&hits) {
+            for (a, b) in set_intervals(hit, runs) {
+                let (lo, hi) = (column(a), column(b));
+                gather(self.xpad, &mut panel[lo * MR..hi * MR], l, &ks[lo..hi]);
+                spans.push(lo, hi);
+            }
+            spans.end_panel();
+        }
+    }
+}
+
+/// Bits `lo..lo + n` (`1 ≤ n ≤ 64`) of the bit string `words` (bit `i` is
+/// bit `i % 64` of word `i / 64`), as the low `n` bits.
+fn bit_range(words: &[u64], lo: usize, n: usize) -> u64 {
+    let (w, s) = (lo / 64, lo % 64);
+    let mut v = words[w] >> s;
+    if s + n > 64 {
+        v |= words[w + 1] << (64 - s);
+    }
+    v & (u64::MAX >> (64 - n))
+}
+
+/// ORs fields of bits into a bit string one after another, low bits
+/// first; bits past the string's end are dropped.
+struct BitWriter<'a> {
+    out: &'a mut [u64],
+    word: usize,
+    acc: u64,
+    /// Bits of `acc` in use, below 64.
+    used: usize,
+}
+
+impl BitWriter<'_> {
+    /// Appends the low `n` bits of `v` (`1 ≤ n ≤ 64`, no higher bits set).
+    fn push(&mut self, v: u64, n: usize) {
+        self.acc |= v << self.used;
+        if self.used + n < 64 {
+            self.used += n;
+            return;
+        }
+        self.flush();
+        self.acc = if self.used == 0 { 0 } else { v >> (64 - self.used) };
+        self.used = self.used + n - 64;
+    }
+
+    fn flush(&mut self) {
+        if let Some(word) = self.out.get_mut(self.word) {
+            *word |= self.acc;
+        }
+        self.word += 1;
+    }
+
+    fn finish(mut self) {
+        if self.used > 0 {
+            self.flush();
+        }
+    }
+}
+
+/// The maximal intervals `a..b` of set bits among the first `len` bits of
+/// `bits` (bit `j` is bit `j % 64` of word `j / 64`), ascending.
+fn set_intervals(bits: &[u64], len: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    // First index ≥ `from` (or `len`) whose bit equals `set`.
+    let next = move |from: usize, set: bool| {
+        let mut j = from;
+        while j < len {
+            let word = if set { bits[j / 64] } else { !bits[j / 64] };
+            let word = word >> (j % 64);
+            if word != 0 {
+                return (j + word.trailing_zeros() as usize).min(len);
+            }
+            j = (j / 64 + 1) * 64;
+        }
+        len
+    };
+    let mut j = 0;
+    std::iter::from_fn(move || {
+        let a = next(j, true);
+        (a < len).then(|| {
+            j = next(a, false);
+            (a, j)
+        })
+    })
+}
+
 /// The two column-matrix GEMMs over the batch `x[n, C, D, H, W]`, `colT`
 /// never written: forward (`transposed == false`) is `colT · bᵀ` with
-/// `b = W[o, kdim]`, the weight gradient (`true`) is `colTᵀ · b` with
-/// `b = goutT[(bn, s), o]`. Either `[m, o]` product lands in `dst`
-/// transposed — per sample into `[o, spatial]`, resp. whole into
-/// `[o, kdim]`.
+/// `b = W[o, kdim]`, packed by [`OccupiedCols`]; the weight gradient
+/// (`true`) is `colTᵀ · b` with `b = goutT[(bn, s), o]`, packed densely.
+/// Either `[m, o]` product lands in `dst` transposed — per sample into
+/// `[o, spatial]`, resp. whole into `[o, kdim]`.
 fn cols_gemm(x: &[f32], n: usize, g: Geom, transposed: bool, b: &[f32], o: usize, dst: &mut [f32]) {
     let (rows, kdim) = (n * g.spatial(), g.kdim());
-    let (m, k, lanes, ks, layout, block) = if transposed {
-        (kdim, rows, g.taps(), g.rows(), Layout::Nn, kdim)
+    let (m, k, layout, block) = if transposed {
+        (kdim, rows, Layout::Nn, kdim)
     } else {
-        (rows, kdim, g.rows(), g.taps(), Layout::Nt, g.spatial())
+        (rows, kdim, Layout::Nt, g.spatial())
     };
     dftrace::counter_add("tensor.conv3d.batched_gemms", 1);
+    let (wp, yw) = (g.padded().2, g.column_words());
     scratch::with(Slot::PaddedInput, n * g.padded_sample(), |xpad| {
-        {
-            let _s = dftrace::span("tensor.conv3d.pad");
-            pad_input(xpad, x, g);
-        }
-        let cols = Cols { xpad, lanes, ks };
-        scratch::with(Slot::GemmOut, m * o, |prod| {
-            let pack_a =
-                |row0, mcb, pc, kcb, apack: &mut [f32]| cols.pack(row0, mcb, pc, kcb, apack);
-            gemm_with(m, k, o, prod, |bpack| pack_b(layout, b, k, o, bpack), &pack_a);
-            transpose_blocks(prod, dst, block, o);
+        scratch::with_words(n * g.padded_columns() * yw, |occ| {
+            {
+                let _s = dftrace::span("tensor.conv3d.pad");
+                pad_input(xpad, occ, x, g);
+            }
+            scratch::with(Slot::GemmOut, m * o, |prod| {
+                let pack_b = |bpack: &mut [f32]| pack_b(layout, b, k, o, bpack);
+                if transposed {
+                    let cols = Cols { xpad, lanes: g.taps(), ks: g.rows() };
+                    let pack_a = |row0, mcb, pc, kcb, apack: &mut [f32], spans: &mut Spans| {
+                        cols.pack(row0, mcb, pc, kcb, apack, spans)
+                    };
+                    gemm_with(m, k, o, prod, pack_b, &pack_a);
+                } else {
+                    if b.iter().all(|w| w.is_finite()) {
+                        dilate(occ, wp, yw, g.kw + MR - 1);
+                    } else {
+                        occ.fill(!0);
+                    }
+                    let fwd = OccupiedCols { xpad, reach: occ, g };
+                    let pack_a = |row0, mcb, pc, kcb, apack: &mut [f32], spans: &mut Spans| {
+                        fwd.pack(row0, mcb, pc, kcb, apack, spans)
+                    };
+                    gemm_with(m, k, o, prod, pack_b, &pack_a);
+                }
+                transpose_blocks(prod, dst, block, o);
+            });
         });
     });
 }

@@ -17,6 +17,7 @@ pub mod reference;
 mod segment;
 
 pub use conv::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward};
+pub use gemm::{gemm_with, Spans, KC, MC};
 pub use norm::BatchNormOut;
 
 use crate::graph::{Graph, VarId};

@@ -4,7 +4,8 @@
 //! zero-padded conv inputs, packed A/B panels, transposed gradient views. Allocating
 //! them per call would put the allocator on the training and serving hot
 //! paths, so each thread keeps one reusable buffer per [`Slot`] in a
-//! thread-local arena. A buffer is *checked out* for the duration of a
+//! thread-local arena, plus one `u64` buffer ([`with_words`]) for the conv
+//! input's occupancy bitmask. A buffer is *checked out* for the duration of a
 //! closure and returned afterwards; repeated calls with the same slot on the
 //! same thread (a training loop, a `dfserve` micro-batch stream, a pool
 //! worker's band jobs) reuse the allocation.
@@ -25,6 +26,7 @@
 //!   tracing off the counters cost one relaxed load each.
 
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 /// Named scratch buffers; each thread owns one buffer per slot. The slots
 /// mirror the concurrent buffer needs of one kernel invocation — a conv3d
@@ -62,11 +64,14 @@ impl Slot {
     }
 }
 
+/// One parked buffer per slot; `None` while checked out.
+type Arena<T, const N: usize> = LocalKey<RefCell<[Option<Vec<T>>; N]>>;
+
 thread_local! {
-    /// One parked buffer per slot; `None` while checked out.
     static ARENA: RefCell<[Option<Vec<f32>>; NUM_SLOTS]> = const {
         RefCell::new([Some(Vec::new()), Some(Vec::new()), Some(Vec::new()), Some(Vec::new()), Some(Vec::new())])
     };
+    static WORDS: RefCell<[Option<Vec<u64>>; 1]> = const { RefCell::new([Some(Vec::new())]) };
 }
 
 /// Checks out this thread's buffer for `slot`, resized to exactly `len`
@@ -74,7 +79,22 @@ thread_local! {
 /// module contract); the buffer returns to the arena when `f` finishes, so
 /// the next checkout on this thread reuses the allocation.
 pub fn with<R>(slot: Slot, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let parked = ARENA.with(|a| a.borrow_mut()[slot.index()].take());
+    checkout(&ARENA, slot.index(), len, f)
+}
+
+/// [`with`] for this thread's one `u64` buffer — the conv3d input's
+/// per-line occupancy bitmask. Same contract, same counters.
+pub fn with_words<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    checkout(&WORDS, 0, len, f)
+}
+
+fn checkout<T: Copy + Default + 'static, const N: usize, R>(
+    arena: &'static Arena<T, N>,
+    index: usize,
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let parked = arena.with(|a| a.borrow_mut()[index].take());
     let was_parked = parked.is_some();
     let mut buf = match parked {
         Some(b) => {
@@ -84,7 +104,7 @@ pub fn with<R>(slot: Slot, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
                 dftrace::counter_add("tensor.scratch.misses", 1);
                 dftrace::counter_add(
                     "tensor.scratch.grow_bytes",
-                    ((len - b.capacity()) * std::mem::size_of::<f32>()) as u64,
+                    ((len - b.capacity()) * std::mem::size_of::<T>()) as u64,
                 );
             }
             b
@@ -95,28 +115,29 @@ pub fn with<R>(slot: Slot, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
             dftrace::counter_add("tensor.scratch.misses", 1);
             dftrace::counter_add(
                 "tensor.scratch.grow_bytes",
-                (len * std::mem::size_of::<f32>()) as u64,
+                (len * std::mem::size_of::<T>()) as u64,
             );
             Vec::new()
         }
     };
     // `resize` zero-fills growth beyond the current length but leaves
     // existing elements as-is — callers must overwrite what they read.
-    buf.resize(len, 0.0);
-    struct Park {
+    buf.resize(len, T::default());
+    struct Park<T: 'static, const N: usize> {
+        arena: &'static Arena<T, N>,
         slot: usize,
         park: bool,
-        buf: Vec<f32>,
+        buf: Vec<T>,
     }
-    impl Drop for Park {
+    impl<T: 'static, const N: usize> Drop for Park<T, N> {
         fn drop(&mut self) {
             if self.park {
                 let buf = std::mem::take(&mut self.buf);
-                ARENA.with(|a| a.borrow_mut()[self.slot] = Some(buf));
+                self.arena.with(|a| a.borrow_mut()[self.slot] = Some(buf));
             }
         }
     }
-    let mut guard = Park { slot: slot.index(), park: was_parked, buf };
+    let mut guard = Park { arena, slot: index, park: was_parked, buf };
     f(&mut guard.buf)
 }
 

@@ -14,13 +14,21 @@
 //! kernel (receptive fields entirely inside the zero padding). Conv stride
 //! is fixed at 1 by design (the paper's 3D-CNN pools instead of striding),
 //! so stride is not a parameter.
+//!
+//! The GEMM skips k columns its A packer reports as zero, and the conv3d
+//! forward packer skips every tap that reads an empty voxel. So the span
+//! contract is driven directly here with random sparse spans, and the
+//! conv forward runs over sparse grids: blobs in a zero grid, with `±0.0`,
+//! denormals, NaN and ±inf among the values and non-finite weights.
 
 use dfpool::Pool;
-use dftensor::ops::microkernel;
+use dftensor::ops::microkernel::{self, MR, NR};
 use dftensor::ops::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward, reference};
+use dftensor::ops::{gemm_with, Spans, KC};
 use dftensor::rng::rng;
 use dftensor::Tensor;
 use proptest::prelude::*;
+use rand::Rng;
 use std::sync::OnceLock;
 
 /// Shared pools so the hundreds of proptest cases don't spawn threads each.
@@ -38,6 +46,107 @@ fn pool(threads: usize) -> &'static Pool {
 /// Collects a tensor's exact bit pattern.
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bits with every NaN mapped to one pattern: NaN payloads and signs are
+/// not specified by IEEE-754 arithmetic, NaN positions are.
+fn nan_bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// Asserts `f` produces the reference bits, NaN positions included, for
+/// every available micro-kernel edition on 1/2/4/8-thread pools.
+fn assert_matches_reference_nan(
+    want: &Tensor,
+    f: impl Fn() -> Tensor,
+) -> Result<(), TestCaseError> {
+    for path in microkernel::available_paths() {
+        for threads in [1usize, 2, 4, 8] {
+            let got = pool(threads).install(|| microkernel::with_forced(path, &f));
+            prop_assert_eq!(
+                nan_bits(&got),
+                nan_bits(want),
+                "{} edition on a {}-thread pool differs from reference",
+                path.label(),
+                threads
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `A · B` through `gemm_with`, whose A packer reports only the columns
+/// `keep[row / MR][p]` marks and writes NaN into every other one — a
+/// skipped column that got folded anyway would show. Even panels report
+/// each kept column as its own span (which `Spans` merges), odd panels
+/// report maximal runs. B is packed densely.
+fn span_gemm(a: &Tensor, b: &Tensor, keep: &[Vec<bool>]) -> Tensor {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let (ad, bd) = (a.data(), b.data());
+    let pack_b = |bpack: &mut [f32]| {
+        for (jp, panel) in bpack.chunks_exact_mut(k * NR).enumerate() {
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (j, d) in dst.iter_mut().enumerate() {
+                    let col = jp * NR + j;
+                    *d = if col < n { bd[p * n + col] } else { 0.0 };
+                }
+            }
+        }
+    };
+    let pack_a = |row0: usize, mcb: usize, pc, kcb, apack: &mut [f32], spans: &mut Spans| {
+        for (ip, panel) in apack.chunks_exact_mut(kcb * MR).enumerate() {
+            let kept = &keep[row0 / MR + ip][pc..pc + kcb];
+            for (pp, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                for (r, d) in dst.iter_mut().enumerate() {
+                    let i = ip * MR + r;
+                    *d = match (kept[pp], i < mcb) {
+                        (false, _) => f32::NAN,
+                        (true, true) => ad[(row0 + i) * k + pc + pp],
+                        (true, false) => 0.0,
+                    };
+                }
+            }
+            let mut pp = 0;
+            while pp < kcb {
+                let lo = pp;
+                while pp < kcb && kept[pp] && (pp == lo || ip % 2 == 1) {
+                    pp += 1;
+                }
+                if pp > lo {
+                    spans.push(lo, pp);
+                } else {
+                    pp += 1;
+                }
+            }
+            spans.end_panel();
+        }
+    };
+    // `gemm_with` overwrites C: stale NaN must not survive anywhere, even
+    // in a panel with no span in the first KC block.
+    let mut c = Tensor::full(&[m, n], f32::NAN);
+    gemm_with(m, k, n, c.data_mut(), pack_b, &pack_a);
+    c
+}
+
+/// A random `[m, k]` A and a `keep` mask for [`span_gemm`] that keeps
+/// about `density` of each MR panel's columns; every dropped column is
+/// `±0.0` in all of its panel's rows. Kept entries are random, a few of
+/// them zeros.
+fn sparse_a(seed: u64, m: usize, k: usize, density: f64) -> (Tensor, Vec<Vec<bool>>) {
+    let mut r = rng(seed);
+    let mut a = Tensor::randn(&[m, k], &mut r);
+    let keep: Vec<Vec<bool>> =
+        (0..m.div_ceil(MR)).map(|_| (0..k).map(|_| r.gen_bool(density)).collect()).collect();
+    for (i, row) in a.data_mut().chunks_exact_mut(k).enumerate() {
+        for (p, v) in row.iter_mut().enumerate() {
+            if !keep[i / MR][p] {
+                *v = if (i + p) % 2 == 0 { 0.0 } else { -0.0 };
+            } else if r.gen_bool(0.05) {
+                *v = -0.0;
+            }
+        }
+    }
+    (a, keep)
 }
 
 /// Asserts `f` produces the reference bits for every available micro-kernel
@@ -161,6 +270,89 @@ proptest! {
             conv3d_backward_weight(&gout, &x, wt.shape(), pad)
         })?;
     }
+
+    /// The span contract: a packer that reports random sparse spans over
+    /// an A whose unreported columns are `±0.0` gets the dense product's
+    /// bits. `k` up to 600 crosses two KC blocks; `m` straddles MR and MC.
+    #[test]
+    fn gemm_with_sparse_spans_matches_reference_bitwise(
+        seed in 0u64..1000,
+        m in 1usize..70,
+        k in 1usize..600,
+        n in 1usize..20,
+        density in 0.0f64..1.0,
+    ) {
+        let (a, keep) = sparse_a(seed, m, k, density);
+        let b = Tensor::randn(&[k, n], &mut rng(seed + 1));
+        assert_matches_reference(&reference::matmul(&a, &b), || span_gemm(&a, &b, &keep))?;
+    }
+
+    /// conv3d forward over sparse grids == reference, NaN positions
+    /// included: blobs in a zero grid holding `±0.0`, denormals and — in
+    /// some cases — NaN/±inf, against weights that are non-finite in some
+    /// cases. `kw = 1` and non-cubic kernels are in range.
+    #[test]
+    fn conv3d_forward_on_sparse_grids_matches_reference(
+        seed in 0u64..1000,
+        bn in 1usize..3,
+        c in 1usize..4,
+        o in 1usize..5,
+        d in 1usize..7,
+        h in 1usize..7,
+        w in 1usize..9,
+        kd in 1usize..4,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        pad in 0usize..3,
+        non_finite in 0u8..4,
+    ) {
+        prop_assume!(kd <= d + 2 * pad && kh <= h + 2 * pad && kw <= w + 2 * pad);
+        // Bit 0: non-finite values in x; bit 1: a non-finite weight.
+        let x = sparse_grid(seed, [bn, c, d, h, w], non_finite & 1 == 1);
+        let mut wt = Tensor::randn(&[o, c, kd, kh, kw], &mut rng(seed + 1));
+        if non_finite & 2 == 2 {
+            let i = seed as usize % wt.numel();
+            wt.data_mut()[i] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][seed as usize % 3];
+        }
+        let want = reference::conv3d_forward(&x, &wt, pad);
+        assert_matches_reference_nan(&want, || conv3d_forward(&x, &wt, pad))?;
+    }
+}
+
+/// A zero grid with a few random blobs — what a voxelized pose looks like
+/// — whose values include `±0.0` and denormals and, with `non_finite`,
+/// NaN and ±inf. Some blobs hold only denormals, so a skipped denormal
+/// product would change an output.
+fn sparse_grid(seed: u64, shape: [usize; 5], non_finite: bool) -> Tensor {
+    let mut r = rng(seed ^ 0x5eed);
+    let [_, _, d, h, w] = shape;
+    let mut x = Tensor::zeros(&shape);
+    let data = x.data_mut();
+    for _ in 0..r.gen_range(0..4) {
+        let scale = if r.gen_bool(0.3) { f32::MIN_POSITIVE / 16.0 } else { 1.0 };
+        let (plane, z0, y0, x0) = (
+            r.gen_range(0..shape[0] * shape[1]),
+            r.gen_range(0..d),
+            r.gen_range(0..h),
+            r.gen_range(0..w),
+        );
+        for z in z0..(z0 + 2).min(d) {
+            for y in y0..(y0 + 2).min(h) {
+                for xx in x0..(x0 + 3).min(w) {
+                    data[((plane * d + z) * h + y) * w + xx] = match r.gen_range(0..20) {
+                        0 => -0.0,
+                        1 => f32::MIN_POSITIVE / 8.0,
+                        2 => -f32::MIN_POSITIVE / 2.0,
+                        3 if non_finite => f32::NAN,
+                        4 if non_finite => f32::INFINITY,
+                        5 if non_finite => f32::NEG_INFINITY,
+                        _ => r.gen_range(-2.0f32..2.0) * scale,
+                    };
+                }
+            }
+        }
+    }
+    x
 }
 
 /// One fixed large case crossing every blocking boundary at once
@@ -309,5 +501,114 @@ fn conv3d_gather_packers_fixed_case() {
                 }
             }
         }
+    }
+}
+
+/// Fixed span-contract cases, each on every edition × 1/2/4-thread pools:
+/// `k > KC` so spans cross KC blocks; MR panels with no span in the first
+/// block (one of them with none at all); and a ragged last panel. The
+/// large case is above the serial cutoff, so the multi-lane pools run it
+/// in row bands.
+#[test]
+fn gemm_with_span_contract_fixed_cases() {
+    for (seed, m, k, n) in [(1u64, 71usize, 2 * KC + 88, 13usize), (2, 1027, 3 * KC + 5, 16)] {
+        let (mut a, mut keep) = sparse_a(seed, m, k, 0.3);
+        // Panel 0 starts in the second block, panel 1 reports nothing.
+        for (g, kept) in keep.iter_mut().enumerate().take(2) {
+            let dropped = if g == 0 { KC } else { k };
+            kept[..dropped].fill(false);
+            for row in a.data_mut().chunks_exact_mut(k).skip(g * MR).take(MR) {
+                row[..dropped].fill(0.0);
+            }
+        }
+        let b = Tensor::randn(&[k, n], &mut rng(seed + 1));
+        let want = reference::matmul(&a, &b);
+        for path in microkernel::available_paths() {
+            for threads in [1usize, 2, 4] {
+                let got = pool(threads)
+                    .install(|| microkernel::with_forced(path, || span_gemm(&a, &b, &keep)));
+                assert_eq!(bits(&got), bits(&want), "m={m} {} threads {threads}", path.label());
+            }
+        }
+    }
+}
+
+/// Asserts the conv3d forward of `x` with `w` matches the reference on
+/// every edition × 1/2/4-thread pools, NaN positions included.
+fn assert_conv_forward_matches(x: &Tensor, w: &Tensor, pad: usize, case: &str) {
+    let want = reference::conv3d_forward(x, w, pad);
+    for path in microkernel::available_paths() {
+        for threads in [1usize, 2, 4] {
+            let got = pool(threads)
+                .install(|| microkernel::with_forced(path, || conv3d_forward(x, w, pad)));
+            assert_eq!(
+                nan_bits(&got),
+                nan_bits(&want),
+                "{case}: {} threads {threads}",
+                path.label()
+            );
+        }
+    }
+}
+
+/// `kw = 1` with no padding: a padded line is exactly one output line, so
+/// an MR panel of neighbours in `xpad` wraps from one line's end into the
+/// next. A single occupied voxel at the start of each line must be seen by
+/// the panel row that wrapped onto it.
+#[test]
+fn conv3d_forward_kw1_panels_wrapping_lines() {
+    for (w, kd, kh) in [(3usize, 1usize, 1usize), (3, 2, 2), (5, 1, 3), (6, 3, 1)] {
+        let mut x = Tensor::zeros(&[2, 2, 4, 5, w]);
+        for (line, row) in x.data_mut().chunks_exact_mut(w).enumerate() {
+            if line % 3 != 2 {
+                row[0] = 1.0 + line as f32;
+            }
+        }
+        let wt = Tensor::randn(&[3, 2, kd, kh, 1], &mut rng(w as u64));
+        assert_conv_forward_matches(&x, &wt, 0, &format!("w={w} kd={kd} kh={kh}"));
+    }
+}
+
+/// Occupancy is one bit per voxel along y, 64 to a word: padded columns
+/// taller than 64 voxels take more words, runs of one `(ic, fz)` group
+/// read bits across a word boundary, and a kernel taller than 64 reads
+/// more than one word's worth. Occupied voxels straddle y = 64 and 128;
+/// one case has lines wider than 64 voxels instead.
+#[test]
+fn conv3d_forward_grids_taller_or_wider_than_64_voxels() {
+    for (h, w, kh, kw, pad) in [
+        (70usize, 5usize, 5usize, 3usize, 1usize),
+        (62, 4, 3, 2, 2),
+        (130, 3, 2, 1, 0),
+        (67, 3, 66, 1, 0),
+        (3, 70, 2, 5, 1),
+    ] {
+        let mut x = Tensor::zeros(&[1, 2, 3, h, w]);
+        for (line, row) in x.data_mut().chunks_exact_mut(w).enumerate() {
+            let y = line % h;
+            if [61usize, 63, 64, 65, 127, 128].contains(&y) || (h < 8 && line % 2 == 0) {
+                row[(line * 7) % w] = (line as f32 - 7.5) / 3.0;
+            }
+        }
+        let wt = Tensor::randn(&[3, 2, 2, kh, kw], &mut rng(h as u64));
+        assert_conv_forward_matches(
+            &x,
+            &wt,
+            pad,
+            &format!("h={h} w={w} kh={kh} kw={kw} pad={pad}"),
+        );
+    }
+}
+
+/// A non-finite weight makes `0.0 · w` NaN, so nothing may be skipped:
+/// one NaN or ±inf weight against a mostly empty grid puts NaN exactly
+/// where the reference has it.
+#[test]
+fn conv3d_forward_non_finite_weights() {
+    let x = sparse_grid(77, [2, 3, 6, 5, 7], false);
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut wt = Tensor::randn(&[4, 3, 3, 2, 3], &mut rng(78));
+        wt.data_mut()[40] = bad;
+        assert_conv_forward_matches(&x, &wt, 1, &format!("weight {bad}"));
     }
 }

@@ -5,16 +5,22 @@
 //! output: every comparison here is `to_bits()` equality, because the
 //! batched lowering folds each sample's accumulators in exactly the same
 //! order as a single-sample forward (batch rows only add GEMM rows; they
-//! never enter another row's fold).
+//! never enter another row's fold). The conv3d forward also skips the taps
+//! that read empty voxels, so its bits are checked against the dense
+//! reference on real voxel grids of every target.
 
 use dfchem::featurize::{build_graph, voxelize, GraphConfig, MolGraph, VoxelConfig};
-use dfchem::genmol::{generate_molecule, CompoundId, Library, MolGenConfig};
+use dfchem::genmol::{generate_molecule, Compound, CompoundId, Library, MolGenConfig};
 use dfchem::pocket::{BindingPocket, TargetSite};
+use dffusion::workflow::WorkflowConfig;
 use dffusion::{
     score_batch_fusion, Cnn3dConfig, FusionConfig, FusionKind, FusionModel, SgCnnConfig,
 };
+use dfhts::{PoseSource, SyntheticPoseSource};
 use dfserve::{ScoreRequest, ScoreService, ServeConfig, SubmitOutcome};
+use dftensor::ops::{conv3d_forward, reference};
 use dftensor::params::ParamStore;
+use dftensor::rng::rng;
 use dftensor::Tensor;
 
 fn tiny_model() -> (FusionModel, ParamStore, VoxelConfig) {
@@ -144,4 +150,28 @@ fn service_micro_batches_score_identically_to_sequential_service() {
         bat_stats.batches,
         seq_stats.batches
     );
+}
+
+/// conv1 of the `WorkflowConfig::small` model (5³ kernel, pad 2) over the
+/// voxel grids of synthetic poses in each of the four targets' pockets:
+/// the forward, which folds only the taps that read an occupied voxel,
+/// returns the dense reference's bits.
+#[test]
+fn conv1_forward_on_voxelized_poses_matches_the_reference_for_every_target() {
+    let voxel = WorkflowConfig::small(0).voxel;
+    let w = Tensor::randn(&[8, VoxelConfig::NUM_CHANNELS, 5, 5, 5], &mut rng(5));
+    let mut shape = vec![2];
+    shape.extend(voxel.shape());
+    for (i, target) in TargetSite::ALL.into_iter().enumerate() {
+        let pocket = BindingPocket::generate(target, 3);
+        let compound = Compound::materialize(Library::Chembl, i as u64, 3);
+        let poses = SyntheticPoseSource { poses_per_compound: 2 }.poses(&compound, &pocket, 9);
+        let grids = poses.iter().flat_map(|p| voxelize(&voxel, p, &pocket).into_vec()).collect();
+        let x = Tensor::from_vec(grids, &shape);
+        assert!(x.data().iter().any(|&v| v != 0.0), "{target:?}: empty grids test nothing");
+        let got: Vec<u32> = conv3d_forward(&x, &w, 2).data().iter().map(|v| v.to_bits()).collect();
+        let want = reference::conv3d_forward(&x, &w, 2);
+        let want: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{target:?}");
+    }
 }
