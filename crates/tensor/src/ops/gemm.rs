@@ -15,8 +15,8 @@
 //!
 //! Neither operand has to exist as a matrix: [`gemm_with`] is the one
 //! driver and takes the two *packers* — whatever fills the B panels once
-//! and an `MC × KC` block of A panels (with their [`Spans`]) on demand.
-//! [`gemm`] passes the dense [`pack_b`]/[`pack_a`] over stored slices; conv3d passes packers that
+//! and an `MC × KC` block of A panels on demand. [`gemm`] passes the dense
+//! [`pack_b`]/[`pack_a`] over stored slices; conv3d passes packers that
 //! gather straight from a zero-padded voxel grid (`ops::conv`), so its
 //! column matrix is never written. The band loop, the micro-kernel and the
 //! fold cannot tell the difference: they only ever see packed panels.
@@ -46,28 +46,12 @@
 //! across any pool thread count and any micro-kernel edition — locked by
 //! `tests/parallel_determinism.rs` and the kernel proptests.
 //!
-//! ## Skipping columns the packer proves zero
-//!
-//! The A packer also reports, per MR panel of its block, ascending k
-//! [`Spans`]: every column outside them is `±0.0` in all of that panel's
-//! rows, and its products with `op(B)` are finite. Those columns are
-//! neither packed nor folded — the band loop calls the unchanged
-//! micro-kernel fold once per span, on the matching slice of the packed B
-//! panel. This is bit-neutral. Each accumulator starts at `+0.0` and folds
-//! ascending k, so it is never `-0.0`: a round-to-nearest sum is `-0.0`
-//! only when both addends are, and `x + (-x)` is `+0.0`. Adding a `±0.0`
-//! product to any value but `-0.0` returns that value unchanged, NaN and
-//! ±inf included. So omitting such a product leaves every later step of
-//! the fold with the same operand, and the skipped fold ends on the bits
-//! of the full one. The finiteness
-//! clause matters: `0.0 · inf` is NaN, so a packer may only skip columns
-//! whose B entries are finite. A panel with no span in the first KC block
-//! still stores its `+0.0` start, so later blocks continue from it.
-//!
-//! [`gemm`] reports one full span per panel; conv3d's forward packer
-//! reports the taps whose voxels hold an atom (`ops::conv`).
-//! `tensor.gemm.macs` keeps counting `m·n·k`; `tensor.gemm.folded_macs`
-//! counts what was actually folded.
+//! There is deliberately **no zero-skip** (`a == 0.0 → continue`) on this
+//! path: dense operands pay the branch on every element and skip almost
+//! nothing. Sparse inputs never reach it: the conv3d forward scatters a
+//! mostly empty grid itself (`ops::conv`, which also proves that skipping
+//! `±0.0` products is bit-neutral), and `ops/segment.rs` gathers and
+//! scatters graph features without matmul.
 
 use crate::ops::microkernel::{self, Path};
 use crate::scratch::{self, Slot};
@@ -75,71 +59,9 @@ use crate::scratch::{self, Slot};
 pub(crate) use crate::ops::microkernel::{MR, NR};
 
 /// k-dimension cache block: `KC × NR` B panel ≈ 8 KiB stays L1-resident.
-pub const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Row cache block: `MC × KC` A pack ≈ 64 KiB stays L2-resident.
-pub const MC: usize = 64;
-
-/// Most spans one panel of a block can hold: reported spans are merged
-/// when they touch, so two of them are at least one column apart.
-const PANEL_SPANS: usize = KC.div_ceil(2);
-
-/// The k spans an A packer reports for one `MC × KC` block (block-local
-/// columns, see [`gemm_with`]): per MR panel, in panel order, ascending
-/// `[lo, hi)` ranges outside which every entry of the panel is `±0.0`.
-/// Touching ranges merge, so a panel holds at most `KC / 2` of them.
-pub struct Spans {
-    ranges: [[u16; 2]; MC / MR * PANEL_SPANS],
-    /// `ends[ip]`: one past panel `ip`'s last range in `ranges`.
-    ends: [usize; MC / MR],
-    len: usize,
-    panels: usize,
-}
-
-impl Spans {
-    fn new() -> Self {
-        Spans { ranges: [[0; 2]; MC / MR * PANEL_SPANS], ends: [0; MC / MR], len: 0, panels: 0 }
-    }
-
-    /// Adds `lo..hi` to the panel being reported; it must start at or
-    /// after the panel's previous span ends.
-    pub fn push(&mut self, lo: usize, hi: usize) {
-        let first = self.panels.checked_sub(1).map_or(0, |ip| self.ends[ip]);
-        assert!(lo < hi && hi <= KC, "span {lo}..{hi} outside a KC block");
-        match self.ranges[first..self.len].last_mut() {
-            Some(last) if usize::from(last[1]) == lo => last[1] = hi as u16,
-            last => {
-                assert!(last.is_none_or(|l| usize::from(l[1]) < lo), "spans must ascend");
-                self.ranges[self.len] = [lo as u16, hi as u16];
-                self.len += 1;
-            }
-        }
-    }
-
-    /// Closes the panel being reported; the next `push` starts the next one.
-    pub fn end_panel(&mut self) {
-        self.ends[self.panels] = self.len;
-        self.panels += 1;
-    }
-
-    /// One full `0..kcb` span for each of `panels` panels.
-    pub fn dense(&mut self, panels: usize, kcb: usize) {
-        for _ in 0..panels {
-            self.push(0, kcb);
-            self.end_panel();
-        }
-    }
-
-    /// Panel `ip`'s spans as `(lo, hi)`.
-    fn of(&self, ip: usize) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
-        let first = ip.checked_sub(1).map_or(0, |p| self.ends[p]);
-        self.ranges[first..self.ends[ip]].iter().map(|r| (usize::from(r[0]), usize::from(r[1])))
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
-        self.panels = 0;
-    }
-}
+pub(crate) const MC: usize = 64;
 
 /// GEMMs below this many multiply-adds run inline on the calling thread
 /// even when a pool is installed: at small sizes the band hand-off costs
@@ -176,36 +98,25 @@ pub(crate) fn gemm(
 ) {
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length");
-    let dense_a = |row0, mcb: usize, pc, kcb, apack: &mut [f32], spans: &mut Spans| {
+    let dense_a = |row0, mcb, pc, kcb, apack: &mut [f32]| {
         pack_a(layout, a, m, k, row0, mcb, pc, kcb, apack);
-        spans.dense(mcb.div_ceil(MR), kcb);
     };
     gemm_with(m, k, n, c, |bpack| pack_b(layout, b, k, n, bpack), &dense_a);
 }
 
-/// `C[m,n] = A · B`, overwriting `c`, over operands that are *produced*
-/// instead of stored — the one GEMM driver.
-///
-/// `pack_b(bpack)` fills all of packed B once, on the calling thread:
-/// `bpack[(jp·k + p)·NR + j] = B[p, jp·NR + j]`, zero past column `n`.
-///
-/// `pack_a(row0, mcb, pc, kcb, apack, spans)` packs one block — rows
-/// `row0..row0+mcb`, columns `pc..pc+kcb` — into `mcb.div_ceil(MR)`
-/// MR-row panels, k-major within a panel:
-/// `apack[(ip·kcb + pp)·MR + r] = A[row0 + ip·MR + r, pc + pp]`, zero in
-/// rows past `mcb`. For each panel in order it reports through `spans`
-/// the block-local columns `pp` it packed ([`Spans::push`], then
-/// [`Spans::end_panel`]); only those are written and folded. Every column
-/// it leaves out must be `±0.0` in all of the panel's rows and have finite
-/// B entries (the module doc says why that keeps the dense result's bits).
-/// It is called from the band jobs, possibly on several lanes at once.
-pub fn gemm_with(
+/// [`gemm`] over operands that are *produced* instead of stored.
+/// `pack_b(bpack)` fills all of packed `op(B)` once, on the calling thread
+/// (layout in [`pack_b`]); `pack_a(row0, mcb, pc, kcb, apack)` fills one
+/// block of packed `op(A)` (layout in [`pack_a`], zero rows past `mcb`
+/// included) and is called from the band jobs, possibly on several lanes
+/// at once. Both must overwrite every element of the slice they are given.
+pub(crate) fn gemm_with(
     m: usize,
     k: usize,
     n: usize,
     c: &mut [f32],
     pack_b: impl FnOnce(&mut [f32]),
-    pack_a: &(impl Fn(usize, usize, usize, usize, &mut [f32], &mut Spans) + Sync),
+    pack_a: &(impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync),
 ) {
     assert_eq!(c.len(), m * n, "gemm: C length");
     if m == 0 || n == 0 {
@@ -353,11 +264,10 @@ pub(crate) fn pack_a(
 }
 
 /// One row band `c` (rows `first_row..`, all `n` columns): all KC blocks
-/// (ascending), all MC blocks, all register tiles, each folded over its
-/// panel's spans only.
+/// (ascending), all MC blocks, all register tiles.
 fn band_job(
     path: Path,
-    pack_a: &impl Fn(usize, usize, usize, usize, &mut [f32], &mut Spans),
+    pack_a: &impl Fn(usize, usize, usize, usize, &mut [f32]),
     bpack: &[f32],
     k: usize,
     n: usize,
@@ -367,9 +277,6 @@ fn band_job(
     let rows = c.len() / n;
     let n_panels = n.div_ceil(NR);
     let paired = microkernel::folds_pairs(path);
-    let mut spans = Spans::new();
-    // Row-columns folded (each against all `n` columns of B).
-    let mut folded = 0;
     let mut pc = 0;
     while pc < k {
         let kcb = (k - pc).min(KC);
@@ -383,21 +290,11 @@ fn band_job(
             scratch::with(Slot::PackA, m_panels * kcb * MR, |apack| {
                 {
                     let _s = dftrace::span("tensor.gemm.pack_a");
-                    spans.clear();
-                    pack_a(first_row + ic, mcb, pc, kcb, apack, &mut spans);
-                    assert_eq!(spans.panels, m_panels, "packer reported spans for too few panels");
+                    pack_a(first_row + ic, mcb, pc, kcb, apack);
                 }
                 let _s = dftrace::span("tensor.gemm.kernel");
                 for ip in 0..m_panels {
                     let mr = (mcb - ip * MR).min(MR);
-                    let ps = spans.of(ip);
-                    let width: usize = ps.clone().map(|(lo, hi)| hi - lo).sum();
-                    // Nothing to fold into C's partial sums — but the first
-                    // block still stores the fold's `+0.0` start.
-                    if width == 0 && load_c {
-                        continue;
-                    }
-                    folded += width * mr;
                     let ap = &apack[ip * kcb * MR..(ip + 1) * kcb * MR];
                     let row0 = ic + ip * MR;
                     // The panel's `mr` rows of C.
@@ -413,13 +310,13 @@ fn band_job(
                             let bp0 = &bpack[(jp * k + pc) * NR..(jp * k + pc + kcb) * NR];
                             let jq = jp + 1;
                             let bp1 = &bpack[(jq * k + pc) * NR..(jq * k + pc + kcb) * NR];
-                            micro_kernel_pair(path, ap, bp0, bp1, ps.clone(), cp, n, col0, load_c);
+                            micro_kernel_pair(path, ap, bp0, bp1, cp, n, col0, load_c);
                             jp += 2;
                             continue;
                         }
                         let nr = (n - col0).min(NR);
                         let bp = &bpack[(jp * k + pc) * NR..(jp * k + pc + kcb) * NR];
-                        micro_kernel(path, ap, bp, ps.clone(), cp, n, col0, nr, load_c);
+                        micro_kernel(path, ap, bp, cp, n, col0, nr, load_c);
                         jp += 1;
                     }
                 }
@@ -428,20 +325,18 @@ fn band_job(
         }
         pc += kcb;
     }
-    dftrace::counter_add("tensor.gemm.folded_macs", (folded * n) as u64);
 }
 
-/// MR×NR register tile: `C_tile (+)= A_panel · B_panel` over the spans of
-/// one KC block, k ascending. `c` holds the panel's valid rows (row stride
-/// `n`); the full padded tile is computed (padded lanes are zeros) but only
-/// the valid rows × `nr` columns from `col0` are loaded and stored.
+/// MR×NR register tile: `C_tile (+)= A_panel · B_panel` over one KC block,
+/// k ascending. `c` holds the panel's valid rows (row stride `n`); the
+/// full padded tile is computed (padded lanes are zeros) but only the
+/// valid rows × `nr` columns from `col0` are loaded and stored.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel(
     path: Path,
     ap: &[f32],
     bp: &[f32],
-    spans: impl Iterator<Item = (usize, usize)>,
     c: &mut [f32],
     n: usize,
     col0: usize,
@@ -454,9 +349,7 @@ fn micro_kernel(
             accr[..nr].copy_from_slice(&crow[col0..col0 + nr]);
         }
     }
-    for (lo, hi) in spans {
-        microkernel::fold(path, &mut acc, &ap[lo * MR..hi * MR], &bp[lo * NR..hi * NR]);
-    }
+    microkernel::fold(path, &mut acc, ap, bp);
     for (accr, crow) in acc.iter().zip(c.chunks_exact_mut(n)) {
         crow[col0..col0 + nr].copy_from_slice(&accr[..nr]);
     }
@@ -473,7 +366,6 @@ fn micro_kernel_pair(
     ap: &[f32],
     bp0: &[f32],
     bp1: &[f32],
-    spans: impl Iterator<Item = (usize, usize)>,
     c: &mut [f32],
     n: usize,
     col0: usize,
@@ -485,10 +377,7 @@ fn micro_kernel_pair(
             accr.copy_from_slice(&crow[col0..col0 + 2 * NR]);
         }
     }
-    for (lo, hi) in spans {
-        let (b0, b1) = (&bp0[lo * NR..hi * NR], &bp1[lo * NR..hi * NR]);
-        microkernel::fold_pair(path, &mut acc, &ap[lo * MR..hi * MR], b0, b1);
-    }
+    microkernel::fold_pair(path, &mut acc, ap, bp0, bp1);
     for (accr, crow) in acc.iter().zip(c.chunks_exact_mut(n)) {
         crow[col0..col0 + 2 * NR].copy_from_slice(accr);
     }

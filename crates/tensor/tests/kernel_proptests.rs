@@ -15,16 +15,15 @@
 //! is fixed at 1 by design (the paper's 3D-CNN pools instead of striding),
 //! so stride is not a parameter.
 //!
-//! The GEMM skips k columns its A packer reports as zero, and the conv3d
-//! forward packer skips every tap that reads an empty voxel. So the span
-//! contract is driven directly here with random sparse spans, and the
-//! conv forward runs over sparse grids: blobs in a zero grid, with `±0.0`,
-//! denormals, NaN and ±inf among the values and non-finite weights.
+//! The conv3d forward scatters an input with at most one nonzero element
+//! in 8 and runs the implicit GEMM on anything denser, so it also runs
+//! over sparse grids (blobs in a zero grid) and over inputs whose density
+//! is swept across that cutoff, with `±0.0`, denormals, NaN and ±inf among
+//! the values and non-finite weights.
 
 use dfpool::Pool;
-use dftensor::ops::microkernel::{self, MR, NR};
+use dftensor::ops::microkernel;
 use dftensor::ops::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward, reference};
-use dftensor::ops::{gemm_with, Spans, KC};
 use dftensor::rng::rng;
 use dftensor::Tensor;
 use proptest::prelude::*;
@@ -73,80 +72,6 @@ fn assert_matches_reference_nan(
         }
     }
     Ok(())
-}
-
-/// `A · B` through `gemm_with`, whose A packer reports only the columns
-/// `keep[row / MR][p]` marks and writes NaN into every other one — a
-/// skipped column that got folded anyway would show. Even panels report
-/// each kept column as its own span (which `Spans` merges), odd panels
-/// report maximal runs. B is packed densely.
-fn span_gemm(a: &Tensor, b: &Tensor, keep: &[Vec<bool>]) -> Tensor {
-    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
-    let (ad, bd) = (a.data(), b.data());
-    let pack_b = |bpack: &mut [f32]| {
-        for (jp, panel) in bpack.chunks_exact_mut(k * NR).enumerate() {
-            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    let col = jp * NR + j;
-                    *d = if col < n { bd[p * n + col] } else { 0.0 };
-                }
-            }
-        }
-    };
-    let pack_a = |row0: usize, mcb: usize, pc, kcb, apack: &mut [f32], spans: &mut Spans| {
-        for (ip, panel) in apack.chunks_exact_mut(kcb * MR).enumerate() {
-            let kept = &keep[row0 / MR + ip][pc..pc + kcb];
-            for (pp, dst) in panel.chunks_exact_mut(MR).enumerate() {
-                for (r, d) in dst.iter_mut().enumerate() {
-                    let i = ip * MR + r;
-                    *d = match (kept[pp], i < mcb) {
-                        (false, _) => f32::NAN,
-                        (true, true) => ad[(row0 + i) * k + pc + pp],
-                        (true, false) => 0.0,
-                    };
-                }
-            }
-            let mut pp = 0;
-            while pp < kcb {
-                let lo = pp;
-                while pp < kcb && kept[pp] && (pp == lo || ip % 2 == 1) {
-                    pp += 1;
-                }
-                if pp > lo {
-                    spans.push(lo, pp);
-                } else {
-                    pp += 1;
-                }
-            }
-            spans.end_panel();
-        }
-    };
-    // `gemm_with` overwrites C: stale NaN must not survive anywhere, even
-    // in a panel with no span in the first KC block.
-    let mut c = Tensor::full(&[m, n], f32::NAN);
-    gemm_with(m, k, n, c.data_mut(), pack_b, &pack_a);
-    c
-}
-
-/// A random `[m, k]` A and a `keep` mask for [`span_gemm`] that keeps
-/// about `density` of each MR panel's columns; every dropped column is
-/// `±0.0` in all of its panel's rows. Kept entries are random, a few of
-/// them zeros.
-fn sparse_a(seed: u64, m: usize, k: usize, density: f64) -> (Tensor, Vec<Vec<bool>>) {
-    let mut r = rng(seed);
-    let mut a = Tensor::randn(&[m, k], &mut r);
-    let keep: Vec<Vec<bool>> =
-        (0..m.div_ceil(MR)).map(|_| (0..k).map(|_| r.gen_bool(density)).collect()).collect();
-    for (i, row) in a.data_mut().chunks_exact_mut(k).enumerate() {
-        for (p, v) in row.iter_mut().enumerate() {
-            if !keep[i / MR][p] {
-                *v = if (i + p) % 2 == 0 { 0.0 } else { -0.0 };
-            } else if r.gen_bool(0.05) {
-                *v = -0.0;
-            }
-        }
-    }
-    (a, keep)
 }
 
 /// Asserts `f` produces the reference bits for every available micro-kernel
@@ -271,22 +196,6 @@ proptest! {
         })?;
     }
 
-    /// The span contract: a packer that reports random sparse spans over
-    /// an A whose unreported columns are `±0.0` gets the dense product's
-    /// bits. `k` up to 600 crosses two KC blocks; `m` straddles MR and MC.
-    #[test]
-    fn gemm_with_sparse_spans_matches_reference_bitwise(
-        seed in 0u64..1000,
-        m in 1usize..70,
-        k in 1usize..600,
-        n in 1usize..20,
-        density in 0.0f64..1.0,
-    ) {
-        let (a, keep) = sparse_a(seed, m, k, density);
-        let b = Tensor::randn(&[k, n], &mut rng(seed + 1));
-        assert_matches_reference(&reference::matmul(&a, &b), || span_gemm(&a, &b, &keep))?;
-    }
-
     /// conv3d forward over sparse grids == reference, NaN positions
     /// included: blobs in a zero grid holding `±0.0`, denormals and — in
     /// some cases — NaN/±inf, against weights that are non-finite in some
@@ -317,6 +226,67 @@ proptest! {
         let want = reference::conv3d_forward(&x, &wt, pad);
         assert_matches_reference_nan(&want, || conv3d_forward(&x, &wt, pad))?;
     }
+
+    /// The forward scatters an input with at most one nonzero in 8 and
+    /// packs anything denser into the GEMM. Sweep the nonzero count across
+    /// that cutoff — none, one below it, exactly at it, one above it, all —
+    /// with `±0.0` filling the rest, denormals among the nonzeros and, in
+    /// some cases, NaN/±inf in x or a non-finite weight. Either side of the
+    /// cutoff returns the reference's bits, NaN positions included.
+    #[test]
+    fn conv3d_forward_across_the_scatter_cutoff_matches_reference(
+        seed in 0u64..1000,
+        bn in 1usize..3,
+        c in 1usize..4,
+        o in 1usize..5,
+        d in 2usize..6,
+        h in 2usize..6,
+        w in 2usize..7,
+        kd in 1usize..4,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        pad in 0usize..3,
+        level in 0usize..5,
+        non_finite in 0u8..4,
+    ) {
+        prop_assume!(kd <= d + 2 * pad && kh <= h + 2 * pad && kw <= w + 2 * pad);
+        let shape = [bn, c, d, h, w];
+        let numel: usize = shape.iter().product();
+        let at = numel / 8;
+        let nonzero = [0, at.saturating_sub(1), at, at + 1, numel][level];
+        // Bit 0: non-finite values in x; bit 1: a non-finite weight.
+        let x = grid_with_nonzeros(seed, shape, nonzero, non_finite & 1 == 1);
+        prop_assert_eq!(x.data().iter().filter(|&&v| v != 0.0).count(), nonzero);
+        let mut wt = Tensor::randn(&[o, c, kd, kh, kw], &mut rng(seed + 1));
+        if non_finite & 2 == 2 {
+            let i = seed as usize % wt.numel();
+            wt.data_mut()[i] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][seed as usize % 3];
+        }
+        let want = reference::conv3d_forward(&x, &wt, pad);
+        assert_matches_reference_nan(&want, || conv3d_forward(&x, &wt, pad))?;
+    }
+}
+
+/// A grid with exactly `nonzero` nonzero elements at random positions and
+/// `±0.0` everywhere else. About a quarter of the nonzeros are denormals
+/// and, with `non_finite`, about a sixth are NaN or ±inf.
+fn grid_with_nonzeros(seed: u64, shape: [usize; 5], nonzero: usize, non_finite: bool) -> Tensor {
+    let mut r = rng(seed ^ 0xc0ff);
+    let numel = shape.iter().product::<usize>();
+    let mut data: Vec<f32> = (0..numel).map(|_| if r.gen_bool(0.5) { 0.0 } else { -0.0 }).collect();
+    // A partial Fisher–Yates shuffle picks the positions.
+    let mut at: Vec<usize> = (0..numel).collect();
+    for i in 0..nonzero {
+        at.swap(i, r.gen_range(i..numel));
+        let sign = if r.gen_bool(0.5) { 1.0 } else { -1.0 };
+        data[at[i]] = match r.gen_range(0..12) {
+            0..=2 => sign * f32::MIN_POSITIVE / r.gen_range(2.0f32..64.0),
+            3 if non_finite => f32::NAN,
+            4 if non_finite => sign * f32::INFINITY,
+            _ => sign * r.gen_range(0.25f32..2.0),
+        };
+    }
+    Tensor::from_vec(data, &shape)
 }
 
 /// A zero grid with a few random blobs — what a voxelized pose looks like
@@ -504,35 +474,6 @@ fn conv3d_gather_packers_fixed_case() {
     }
 }
 
-/// Fixed span-contract cases, each on every edition × 1/2/4-thread pools:
-/// `k > KC` so spans cross KC blocks; MR panels with no span in the first
-/// block (one of them with none at all); and a ragged last panel. The
-/// large case is above the serial cutoff, so the multi-lane pools run it
-/// in row bands.
-#[test]
-fn gemm_with_span_contract_fixed_cases() {
-    for (seed, m, k, n) in [(1u64, 71usize, 2 * KC + 88, 13usize), (2, 1027, 3 * KC + 5, 16)] {
-        let (mut a, mut keep) = sparse_a(seed, m, k, 0.3);
-        // Panel 0 starts in the second block, panel 1 reports nothing.
-        for (g, kept) in keep.iter_mut().enumerate().take(2) {
-            let dropped = if g == 0 { KC } else { k };
-            kept[..dropped].fill(false);
-            for row in a.data_mut().chunks_exact_mut(k).skip(g * MR).take(MR) {
-                row[..dropped].fill(0.0);
-            }
-        }
-        let b = Tensor::randn(&[k, n], &mut rng(seed + 1));
-        let want = reference::matmul(&a, &b);
-        for path in microkernel::available_paths() {
-            for threads in [1usize, 2, 4] {
-                let got = pool(threads)
-                    .install(|| microkernel::with_forced(path, || span_gemm(&a, &b, &keep)));
-                assert_eq!(bits(&got), bits(&want), "m={m} {} threads {threads}", path.label());
-            }
-        }
-    }
-}
-
 /// Asserts the conv3d forward of `x` with `w` matches the reference on
 /// every edition × 1/2/4-thread pools, NaN positions included.
 fn assert_conv_forward_matches(x: &Tensor, w: &Tensor, pad: usize, case: &str) {
@@ -553,8 +494,9 @@ fn assert_conv_forward_matches(x: &Tensor, w: &Tensor, pad: usize, case: &str) {
 
 /// `kw = 1` with no padding: a padded line is exactly one output line, so
 /// an MR panel of neighbours in `xpad` wraps from one line's end into the
-/// next. A single occupied voxel at the start of each line must be seen by
-/// the panel row that wrapped onto it.
+/// next, and the scatter reaches one output per voxel along x. One voxel
+/// at the start of two lines in three puts the 3- and 5-wide grids above
+/// the scatter cutoff (GEMM) and the 6-wide one below it (scatter).
 #[test]
 fn conv3d_forward_kw1_panels_wrapping_lines() {
     for (w, kd, kh) in [(3usize, 1usize, 1usize), (3, 2, 2), (5, 1, 3), (6, 3, 1)] {
@@ -569,11 +511,10 @@ fn conv3d_forward_kw1_panels_wrapping_lines() {
     }
 }
 
-/// Occupancy is one bit per voxel along y, 64 to a word: padded columns
-/// taller than 64 voxels take more words, runs of one `(ic, fz)` group
-/// read bits across a word boundary, and a kernel taller than 64 reads
-/// more than one word's worth. Occupied voxels straddle y = 64 and 128;
-/// one case has lines wider than 64 voxels instead.
+/// Sparse grids taller or wider than 64 voxels, which the scatter walks:
+/// its per-axis tap ranges clip at both ends of a long axis, and one kernel
+/// (66 tall) is nearly as tall as its grid. Nonzero voxels straddle
+/// y = 64 and 128; one case has lines wider than 64 voxels instead.
 #[test]
 fn conv3d_forward_grids_taller_or_wider_than_64_voxels() {
     for (h, w, kh, kw, pad) in [
@@ -600,9 +541,9 @@ fn conv3d_forward_grids_taller_or_wider_than_64_voxels() {
     }
 }
 
-/// A non-finite weight makes `0.0 · w` NaN, so nothing may be skipped:
-/// one NaN or ±inf weight against a mostly empty grid puts NaN exactly
-/// where the reference has it.
+/// A non-finite weight makes `0.0 · w` NaN, so no zero product may be
+/// skipped: one NaN or ±inf weight against a mostly empty grid puts NaN
+/// exactly where the reference has it.
 #[test]
 fn conv3d_forward_non_finite_weights() {
     let x = sparse_grid(77, [2, 3, 6, 5, 7], false);

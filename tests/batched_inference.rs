@@ -5,9 +5,9 @@
 //! output: every comparison here is `to_bits()` equality, because the
 //! batched lowering folds each sample's accumulators in exactly the same
 //! order as a single-sample forward (batch rows only add GEMM rows; they
-//! never enter another row's fold). The conv3d forward also skips the taps
-//! that read empty voxels, so its bits are checked against the dense
-//! reference on real voxel grids of every target.
+//! never enter another row's fold). The conv3d forward scatters a mostly
+//! empty voxel grid instead of running the GEMM, so its bits are checked
+//! against the dense reference on real voxel grids of every target.
 
 use dfchem::featurize::{build_graph, voxelize, GraphConfig, MolGraph, VoxelConfig};
 use dfchem::genmol::{generate_molecule, Compound, CompoundId, Library, MolGenConfig};
@@ -154,8 +154,8 @@ fn service_micro_batches_score_identically_to_sequential_service() {
 
 /// conv1 of the `WorkflowConfig::small` model (5³ kernel, pad 2) over the
 /// voxel grids of synthetic poses in each of the four targets' pockets:
-/// the forward, which folds only the taps that read an occupied voxel,
-/// returns the dense reference's bits.
+/// the forward, which scatters the nonzero voxels of such a grid, returns
+/// the dense reference's bits.
 #[test]
 fn conv1_forward_on_voxelized_poses_matches_the_reference_for_every_target() {
     let voxel = WorkflowConfig::small(0).voxel;

@@ -9,12 +9,13 @@
 //! The enable toggle and shard registry are process-global, so every test
 //! in this binary serializes on [`trace_lock`].
 
-use dfchem::featurize::{voxelize_batch, VoxelConfig};
+use dfchem::featurize::{voxelize, voxelize_batch, VoxelConfig};
 use dfchem::genmol::{generate_molecule, MolGenConfig};
 use dfchem::mol::Molecule;
 use dfchem::pocket::{BindingPocket, TargetSite};
 use dfdock::search::{dock, DockConfig};
 use dfpool::Pool;
+use dftensor::ops::conv3d_forward;
 use dftensor::rng::rng;
 use dftensor::Tensor;
 
@@ -142,4 +143,32 @@ fn disabled_tracing_records_nothing_from_the_hot_paths() {
     assert!(report.spans.is_empty(), "spans recorded while disabled: {:?}", report.spans);
     assert!(report.counters.is_empty(), "counters recorded while disabled");
     assert!(report.histograms.is_empty(), "histograms recorded while disabled");
+}
+
+/// The conv3d forward picks its path from its input: a voxelized pose is
+/// mostly empty and takes the scatter, which issues no GEMM; a ReLU
+/// activation is about half nonzero and takes one implicit GEMM.
+#[test]
+fn conv_forward_scatters_voxel_grids_and_packs_dense_activations() {
+    let _g = trace_lock();
+    let vcfg = VoxelConfig { grid_dim: 8, resolution: 2.0 };
+    let pocket = BindingPocket::generate(TargetSite::Spike1, 3);
+    let grid = voxelize(&vcfg, &test_ligands(1)[0], &pocket);
+    let grid = Tensor::from_vec(grid.into_vec(), &[1, VoxelConfig::NUM_CHANNELS, 8, 8, 8]);
+    assert!(grid.data().iter().any(|&v| v != 0.0), "an empty grid tests nothing");
+    let mut activation = Tensor::randn(&[1, 8, 6, 6, 6], &mut rng(3));
+    for v in activation.data_mut() {
+        *v = v.max(0.0);
+    }
+    let gemms = |x: &Tensor| {
+        let w = Tensor::randn(&[4, x.shape()[1], 3, 3, 3], &mut rng(4));
+        dftrace::reset();
+        Pool::new(1).install(|| conv3d_forward(x, &w, 1));
+        dftrace::snapshot().counter("tensor.conv3d.batched_gemms")
+    };
+    dftrace::set_enabled(true);
+    let (voxels, dense) = (gemms(&grid), gemms(&activation));
+    dftrace::set_enabled(false);
+    assert_eq!(voxels, 0, "a voxel grid must scatter");
+    assert_eq!(dense, 1, "a dense activation must run one GEMM");
 }
