@@ -39,6 +39,13 @@
 //! auto-detected edition (AVX/SSE2/NEON under `--features simd`) on the
 //! large matmul, and checks every available edition against the same bits.
 //!
+//! A `tanh` section times `dftensor::math::tanh_inplace` per element over
+//! 1M inputs in every available edition, next to the host libm's `tanhf`,
+//! and checks every edition `to_bits()` against the fdlibm transliteration
+//! in `reference::tanhf` (`bit_exact`). Whether the host libm agrees with
+//! that oracle is recorded too (`libm_matches_reference`), not asserted:
+//! it holds only where libm ships fdlibm's `tanhf`.
+//!
 //! `--smoke` uses fewer reps and asserts the contract: all kernels
 //! bit-exact across editions and thread counts, no pooled regression on
 //! any kernel at any thread count (floor 0.9 for timer noise — this now
@@ -46,7 +53,8 @@
 //! 1.5× over naive (full runs on this class of host measure well above
 //! 2×), the SIMD edition at least 2× over scalar on matmul 512 when one is
 //! active, the dense forward-only conv1 row at no less than 0.25× matmul
-//! 512's MAC/s, and — when `DFTRACE=1` — warm scratch-arena reuse. The
+//! 512's MAC/s, every `tanh` edition bit-exact (no speed floor), and —
+//! when `DFTRACE=1` — warm scratch-arena reuse. The
 //! dense conv1 row runs the implicit GEMM and the real-voxel row the
 //! scatter (the forward picks its path from the input's density); both are
 //! held `bit_exact` like every other row.
@@ -57,6 +65,7 @@ use dfchem::pocket::{BindingPocket, TargetSite};
 use dffusion::workflow::WorkflowConfig;
 use dfhts::{PoseSource, SyntheticPoseSource};
 use dfpool::Pool;
+use dftensor::math;
 use dftensor::ops::microkernel;
 use dftensor::ops::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward, reference};
 use dftensor::rng::rng;
@@ -129,11 +138,32 @@ struct SimdReport {
     speedup: f64,
 }
 
+/// One `tanh` edition's single-thread cost.
+#[derive(Serialize)]
+struct TanhEdition {
+    path: String,
+    ns_per_elem: f64,
+}
+
+/// `math::tanh_inplace` per edition against the host libm's `tanhf`.
+#[derive(Serialize)]
+struct TanhReport {
+    elements: usize,
+    /// Host `f32::tanh` (libm `tanhf`), best-of-reps ns per element.
+    libm_ns_per_elem: f64,
+    editions: Vec<TanhEdition>,
+    /// Every edition matched `reference::tanhf` `to_bits()` on every input.
+    bit_exact: bool,
+    /// The host libm matched `reference::tanhf` too (informational).
+    libm_matches_reference: bool,
+}
+
 #[derive(Serialize)]
 struct Baseline {
     host_cpus: usize,
     thread_counts: Vec<usize>,
     simd: SimdReport,
+    tanh: TanhReport,
     kernels: Vec<KernelReport>,
 }
 
@@ -242,6 +272,59 @@ fn simd_report(dim: usize, reps: usize) -> SimdReport {
         scalar_ms,
         active_ms,
         speedup,
+    }
+}
+
+/// Times `tanh` over `n` inputs drawn from N(0, 3²), single thread, reps
+/// interleaved across libm and every edition, and bit-checks each edition.
+fn tanh_report(n: usize, reps: usize) -> TanhReport {
+    let input = Tensor::randn(&[n], &mut rng(7)).scale(3.0).into_vec();
+    let want: Vec<u32> = input.iter().map(|&x| reference::tanhf(x).to_bits()).collect();
+    let paths = microkernel::available_paths();
+    let mut buf = input.clone();
+    let bit_exact = paths.iter().all(|&path| {
+        buf.copy_from_slice(&input);
+        microkernel::with_forced(path, || math::tanh_inplace(&mut buf));
+        buf.iter().map(|v| v.to_bits()).eq(want.iter().copied())
+    });
+    let libm_matches_reference = input.iter().map(|&x| x.tanh().to_bits()).eq(want.iter().copied());
+    let mut libm_ms = f64::INFINITY;
+    let mut edition_ms = vec![f64::INFINITY; paths.len()];
+    for _ in 0..reps.max(1) {
+        buf.copy_from_slice(&input);
+        let t = Instant::now();
+        for v in black_box(&mut buf[..]) {
+            *v = v.tanh();
+        }
+        black_box(&buf);
+        libm_ms = libm_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        for (&path, slot) in paths.iter().zip(edition_ms.iter_mut()) {
+            buf.copy_from_slice(&input);
+            let t = Instant::now();
+            microkernel::with_forced(path, || math::tanh_inplace(black_box(&mut buf)));
+            black_box(&buf);
+            *slot = slot.min(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let per_elem = |ms: f64| ms * 1e6 / n as f64;
+    let editions: Vec<TanhEdition> = paths
+        .iter()
+        .zip(&edition_ms)
+        .map(|(p, &ms)| TanhEdition { path: p.label().to_string(), ns_per_elem: per_elem(ms) })
+        .collect();
+    let line: Vec<String> =
+        editions.iter().map(|e| format!("{} {:.2}", e.path, e.ns_per_elem)).collect();
+    eprintln!(
+        "  tanh over {n}: libm {:.2} ns/elem, {} ns/elem, bit_exact {bit_exact}, libm matches reference {libm_matches_reference}",
+        per_elem(libm_ms),
+        line.join(", ")
+    );
+    TanhReport {
+        elements: n,
+        libm_ns_per_elem: per_elem(libm_ms),
+        editions,
+        bit_exact,
+        libm_matches_reference,
     }
 }
 
@@ -397,7 +480,9 @@ fn main() {
     ];
 
     let simd = simd_report(512, if smoke { 3 } else { 5 });
-    let baseline = Baseline { host_cpus, thread_counts: THREAD_COUNTS.to_vec(), simd, kernels };
+    let tanh = tanh_report(1 << 20, if smoke { 3 } else { 9 });
+    let baseline =
+        Baseline { host_cpus, thread_counts: THREAD_COUNTS.to_vec(), simd, tanh, kernels };
     let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
     std::fs::write(&out, &json).expect("write BENCH_kernels.json");
@@ -422,6 +507,7 @@ fn main() {
             }
         }
         assert!(baseline.simd.paths_bit_exact, "micro-kernel editions disagree on matmul 512 bits");
+        assert!(baseline.tanh.bit_exact, "a tanh edition diverged from reference::tanhf");
         if baseline.simd.active_path != "scalar" {
             assert!(
                 baseline.simd.speedup >= 2.0,

@@ -333,7 +333,7 @@ mod tests {
         let mut g = Graph::new();
         let out3 = model.forward(&mut g, &ps, &batch3, false, false);
         let preds3 = g.value(out3.pred).clone();
-        // Singleton batches must reproduce each prediction.
+        // Singleton batches must reproduce each prediction bit for bit.
         for i in 0..3 {
             let pocket = BindingPocket::generate(TargetSite::Spike1, 1);
             let mut lig = generate_molecule(
@@ -348,8 +348,9 @@ mod tests {
             let mut g1 = Graph::new();
             let out1 = model.forward(&mut g1, &ps, &single, false, false);
             let p = g1.value(out1.pred).item();
-            assert!(
-                (p - preds3.data()[i]).abs() < 1e-4,
+            assert_eq!(
+                p.to_bits(),
+                preds3.data()[i].to_bits(),
                 "graph {i}: batched {} vs single {p}",
                 preds3.data()[i]
             );

@@ -9,6 +9,8 @@
 //! * a tape-based reverse-mode autodiff [`Graph`],
 //! * layer building blocks in [`nn`] (Linear, Conv3d, BatchNorm, Dropout),
 //! * the optimizer family from the paper's Table 1 in [`optim`],
+//! * [`math`], the transcendentals the workspace owns instead of taking
+//!   from the host libm (today `tanh`, a bit-exact port of fdlibm's),
 //! * seeded randomness helpers in [`rng`] and the one FNV-1a [`hash`], both
 //!   shared by the whole workspace,
 //! * [`HotSwap`], the generation-stamped weight store serving tiers read.
@@ -22,6 +24,7 @@ pub mod graph;
 pub mod hash;
 pub mod hotswap;
 pub mod init;
+pub mod math;
 pub mod nn;
 pub mod ops;
 pub mod optim;

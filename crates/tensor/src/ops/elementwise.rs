@@ -1,6 +1,7 @@
 //! Elementwise and shape-preserving differentiable ops.
 
 use crate::graph::{Graph, VarId};
+use crate::math;
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -120,9 +121,10 @@ impl Graph {
         )
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`crate::math::tanh`]).
     pub fn tanh(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(f32::tanh);
+        let mut v = self.value(a).clone();
+        math::tanh_inplace(v.data_mut());
         self.push_op(
             vec![a],
             v,
@@ -168,16 +170,26 @@ impl Graph {
             xt.shape()
         );
         let mut out = xt.clone();
-        for (i, v) in out.data_mut().iter_mut().enumerate() {
-            *v += bt.data()[i % n];
+        // `chunks_exact(0)` panics; an empty last dimension has nothing to add.
+        if n > 0 {
+            for row in out.data_mut().chunks_exact_mut(n) {
+                for (v, &bv) in row.iter_mut().zip(bt.data()) {
+                    *v += bv;
+                }
+            }
         }
         self.push_op(
             vec![x, b],
             out,
             Box::new(move |ctx| {
+                // Each bias gradient sums its column over rows, ascending.
                 let mut db = Tensor::zeros(&[n]);
-                for (i, &g) in ctx.grad.data().iter().enumerate() {
-                    db.data_mut()[i % n] += g;
+                if n > 0 {
+                    for row in ctx.grad.data().chunks_exact(n) {
+                        for (d, &g) in db.data_mut().iter_mut().zip(row) {
+                            *d += g;
+                        }
+                    }
                 }
                 vec![ctx.grad.clone(), db]
             }),
@@ -385,6 +397,45 @@ mod tests {
                 g.mean_all(y)
             })
             .unwrap();
+    }
+
+    #[test]
+    fn add_bias_broadcasts_over_every_leading_dimension() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[2, 2, 3]));
+        let b = g.input(Tensor::from_slice(&[10.0, 20.0, 30.0]));
+        let y = g.add_bias(x, b);
+        assert_eq!(g.value(y).shape(), &[2, 2, 3]);
+        let want: Vec<f32> = (0..12).map(|v| v as f32 + [10.0, 20.0, 30.0][v % 3]).collect();
+        assert_eq!(g.value(y).data(), want.as_slice());
+        let s = g.sum_all(y);
+        let grads = g.backward(s);
+        assert_eq!(grads.grad(b).expect("bias grad").data(), &[4.0, 4.0, 4.0]);
+    }
+
+    #[test]
+    fn add_bias_with_one_column() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1]));
+        let b = g.input(Tensor::from_slice(&[0.5]));
+        let y = g.add_bias(x, b);
+        assert_eq!(g.value(y).data(), &[1.5, 2.5, 3.5]);
+        let s = g.sum_all(y);
+        let grads = g.backward(s);
+        assert_eq!(grads.grad(b).expect("bias grad").data(), &[3.0]);
+    }
+
+    #[test]
+    fn add_bias_on_an_empty_last_dimension_is_empty() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::zeros(&[4, 0]));
+        let b = g.input(Tensor::zeros(&[0]));
+        let y = g.add_bias(x, b);
+        assert_eq!(g.value(y).shape(), &[4, 0]);
+        assert!(g.value(y).data().is_empty());
+        let s = g.sum_all(y);
+        let grads = g.backward(s);
+        assert!(grads.grad(b).expect("bias grad").data().is_empty());
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //! Used by the kernel proptests (`crates/tensor/tests/kernel_proptests.rs`)
 //! and as the "naive" side of `dfbench`'s `kernel_bench`. Nothing on a hot
 //! path calls these.
+//!
+//! [`tanhf`] (with its `expm1f`) is the same kind of oracle for
+//! [`crate::math::tanh`]: a plain transliteration of fdlibm's `s_tanhf.c`
+//! and `s_expm1f.c`, branches and all, which the branch-free editions must
+//! match bit for bit. Its origin notice is kept in [`crate::math`].
 
+use crate::math::{INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5};
 use crate::tensor::Tensor;
 
 /// `[m,k] x [k,n] -> [m,n]`, triple loop, ascending-k accumulation.
@@ -233,5 +239,119 @@ fn tap(
         0.0
     } else {
         xd[xbase + (iz as usize) * h * wd + (iy as usize) * wd + ix as usize]
+    }
+}
+
+/// fdlibm `expm1f` (`s_expm1f.c`), transliterated.
+fn expm1f(mut x: f32) -> f32 {
+    let mut hx = x.to_bits();
+    let xsb = hx & 0x8000_0000;
+    hx &= 0x7fff_ffff;
+    // Filter out huge and non-finite arguments.
+    if hx >= 0x4195_b844 {
+        if hx >= 0x42b1_7218 {
+            if hx > 0x7f80_0000 {
+                return x + x;
+            }
+            if hx == 0x7f80_0000 {
+                return if xsb == 0 { x } else { -1.0 };
+            }
+            // Overflow threshold 8.8721679688e+01.
+            if x > f32::from_bits(0x42b1_7180) {
+                return f32::INFINITY;
+            }
+        }
+        if xsb != 0 {
+            // 1e-30 - 1 rounds to -1.
+            return -1.0;
+        }
+    }
+    // Argument reduction.
+    let (k, c): (i32, f32);
+    if hx > 0x3eb1_7218 {
+        let (hi, lo);
+        if hx < 0x3f85_1592 {
+            if xsb == 0 {
+                hi = x - LN2_HI;
+                lo = LN2_LO;
+                k = 1;
+            } else {
+                hi = x + LN2_HI;
+                lo = -LN2_LO;
+                k = -1;
+            }
+        } else {
+            k = (INVLN2 * x + if xsb == 0 { 0.5 } else { -0.5 }) as i32;
+            let t = k as f32;
+            hi = x - t * LN2_HI;
+            lo = t * LN2_LO;
+        }
+        x = hi - lo;
+        c = (hi - x) - lo;
+    } else if hx < 0x3300_0000 {
+        // |x| < 2^-25.
+        let t = 1.0e30 + x;
+        return x - (t - (1.0e30 + x));
+    } else {
+        k = 0;
+        c = 0.0;
+    }
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let mut e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    e = x * (e - c) - c;
+    e -= hxs;
+    if k == -1 {
+        return 0.5 * (x - e) - 0.5;
+    }
+    if k == 1 {
+        return if x < -0.25 { -2.0 * (e - (x + 0.5)) } else { 1.0 + 2.0 * (x - e) };
+    }
+    let exp_k = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    if k <= -2 || k > 56 {
+        return exp_k(1.0 - (e - x)) - 1.0;
+    }
+    if k < 23 {
+        exp_k(f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)) - (e - x))
+    } else {
+        exp_k((x - (e + f32::from_bits(((0x7f - k) as u32) << 23))) + 1.0)
+    }
+}
+
+/// fdlibm `tanhf` (`s_tanhf.c`), transliterated.
+pub fn tanhf(x: f32) -> f32 {
+    let jx = x.to_bits() as i32;
+    let ix = jx & 0x7fff_ffff;
+    // tanh(±inf) = ±1, tanh(NaN) = NaN.
+    if ix >= 0x7f80_0000 {
+        return if jx >= 0 { 1.0 / x + 1.0 } else { 1.0 / x - 1.0 };
+    }
+    let z = if ix < 0x41b0_0000 {
+        if ix == 0 {
+            return x;
+        }
+        if ix < 0x2400_0000 {
+            // |x| < 2^-55.
+            return x * (1.0 + x);
+        }
+        if ix >= 0x3f80_0000 {
+            1.0 - 2.0 / (expm1f(2.0 * x.abs()) + 2.0)
+        } else {
+            let t = expm1f(-2.0 * x.abs());
+            -t / (t + 2.0)
+        }
+    } else {
+        // |x| >= 22: 1 - 1e-30 rounds to 1.
+        1.0
+    };
+    if jx >= 0 {
+        z
+    } else {
+        -z
     }
 }
