@@ -44,7 +44,12 @@
 //! and checks every edition `to_bits()` against the fdlibm transliteration
 //! in `reference::tanhf` (`bit_exact`). Whether the host libm agrees with
 //! that oracle is recorded too (`libm_matches_reference`), not asserted:
-//! it holds only where libm ships fdlibm's `tanhf`.
+//! it holds only where libm ships fdlibm's `tanhf`. An `exp` section does
+//! the same for `math::exp_inplace` against the host's `exp` and
+//! `reference::exp` (glibc 2.36's FMA `exp`), over 1M inputs uniform on
+//! [-40, 0], the Vina Gaussians' range. Editions pick `math`'s slice body:
+//! `avx512` the `avx512f,fma` one, `avx` the `avx2,fma` one, the rest the
+//! baseline one.
 //!
 //! `--smoke` uses fewer reps and asserts the contract: all kernels
 //! bit-exact across editions and thread counts, no pooled regression on
@@ -53,7 +58,8 @@
 //! 1.5× over naive (full runs on this class of host measure well above
 //! 2×), the SIMD edition at least 2× over scalar on matmul 512 when one is
 //! active, the dense forward-only conv1 row at no less than 0.25× matmul
-//! 512's MAC/s, every `tanh` edition bit-exact (no speed floor), and —
+//! 512's MAC/s, every `tanh` and `exp` edition bit-exact (no speed floor),
+//! and —
 //! when `DFTRACE=1` — warm scratch-arena reuse. The
 //! dense conv1 row runs the implicit GEMM and the real-voxel row the
 //! scatter (the forward picks its path from the input's density); both are
@@ -70,6 +76,7 @@ use dftensor::ops::microkernel;
 use dftensor::ops::{conv3d_backward_input, conv3d_backward_weight, conv3d_forward, reference};
 use dftensor::rng::rng;
 use dftensor::Tensor;
+use rand::Rng;
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -138,23 +145,25 @@ struct SimdReport {
     speedup: f64,
 }
 
-/// One `tanh` edition's single-thread cost.
+/// One edition's single-thread cost for a `math` slice function.
 #[derive(Serialize)]
-struct TanhEdition {
+struct MathEdition {
     path: String,
     ns_per_elem: f64,
 }
 
-/// `math::tanh_inplace` per edition against the host libm's `tanhf`.
+/// A `math` slice function (`tanh_inplace`, `exp_inplace`) per edition
+/// against the host libm's scalar function.
 #[derive(Serialize)]
-struct TanhReport {
+struct MathReport {
     elements: usize,
-    /// Host `f32::tanh` (libm `tanhf`), best-of-reps ns per element.
+    /// Host libm (`tanhf`, `exp`), best-of-reps ns per element.
     libm_ns_per_elem: f64,
-    editions: Vec<TanhEdition>,
-    /// Every edition matched `reference::tanhf` `to_bits()` on every input.
+    editions: Vec<MathEdition>,
+    /// Every edition matched the `reference` oracle `to_bits()` on every
+    /// input.
     bit_exact: bool,
-    /// The host libm matched `reference::tanhf` too (informational).
+    /// The host libm matched the oracle too (informational).
     libm_matches_reference: bool,
 }
 
@@ -163,7 +172,8 @@ struct Baseline {
     host_cpus: usize,
     thread_counts: Vec<usize>,
     simd: SimdReport,
-    tanh: TanhReport,
+    tanh: MathReport,
+    exp: MathReport,
     kernels: Vec<KernelReport>,
 }
 
@@ -275,57 +285,80 @@ fn simd_report(dim: usize, reps: usize) -> SimdReport {
     }
 }
 
-/// Times `tanh` over `n` inputs drawn from N(0, 3²), single thread, reps
-/// interleaved across libm and every edition, and bit-checks each edition.
-fn tanh_report(n: usize, reps: usize) -> TanhReport {
-    let input = Tensor::randn(&[n], &mut rng(7)).scale(3.0).into_vec();
-    let want: Vec<u32> = input.iter().map(|&x| reference::tanhf(x).to_bits()).collect();
+/// Times `math`'s `inplace` over `input`, single thread, reps interleaved
+/// across the host `libm` function and every edition, and bit-checks each
+/// edition against `oracle`.
+fn math_report<T: Copy>(
+    name: &str,
+    input: &[T],
+    reps: usize,
+    inplace: fn(&mut [T]),
+    libm: fn(T) -> T,
+    oracle: fn(T) -> T,
+    bits: fn(T) -> u64,
+) -> MathReport {
+    let n = input.len();
+    let want: Vec<u64> = input.iter().map(|&x| bits(oracle(x))).collect();
     let paths = microkernel::available_paths();
-    let mut buf = input.clone();
+    let mut buf = input.to_vec();
     let bit_exact = paths.iter().all(|&path| {
-        buf.copy_from_slice(&input);
-        microkernel::with_forced(path, || math::tanh_inplace(&mut buf));
-        buf.iter().map(|v| v.to_bits()).eq(want.iter().copied())
+        buf.copy_from_slice(input);
+        microkernel::with_forced(path, || inplace(&mut buf));
+        buf.iter().map(|&v| bits(v)).eq(want.iter().copied())
     });
-    let libm_matches_reference = input.iter().map(|&x| x.tanh().to_bits()).eq(want.iter().copied());
+    let libm_matches_reference = input.iter().map(|&x| bits(libm(x))).eq(want.iter().copied());
     let mut libm_ms = f64::INFINITY;
     let mut edition_ms = vec![f64::INFINITY; paths.len()];
     for _ in 0..reps.max(1) {
-        buf.copy_from_slice(&input);
+        buf.copy_from_slice(input);
         let t = Instant::now();
         for v in black_box(&mut buf[..]) {
-            *v = v.tanh();
+            *v = libm(*v);
         }
         black_box(&buf);
         libm_ms = libm_ms.min(t.elapsed().as_secs_f64() * 1e3);
         for (&path, slot) in paths.iter().zip(edition_ms.iter_mut()) {
-            buf.copy_from_slice(&input);
+            buf.copy_from_slice(input);
             let t = Instant::now();
-            microkernel::with_forced(path, || math::tanh_inplace(black_box(&mut buf)));
+            microkernel::with_forced(path, || inplace(black_box(&mut buf)));
             black_box(&buf);
             *slot = slot.min(t.elapsed().as_secs_f64() * 1e3);
         }
     }
     let per_elem = |ms: f64| ms * 1e6 / n as f64;
-    let editions: Vec<TanhEdition> = paths
+    let editions: Vec<MathEdition> = paths
         .iter()
         .zip(&edition_ms)
-        .map(|(p, &ms)| TanhEdition { path: p.label().to_string(), ns_per_elem: per_elem(ms) })
+        .map(|(p, &ms)| MathEdition { path: p.label().to_string(), ns_per_elem: per_elem(ms) })
         .collect();
     let line: Vec<String> =
         editions.iter().map(|e| format!("{} {:.2}", e.path, e.ns_per_elem)).collect();
     eprintln!(
-        "  tanh over {n}: libm {:.2} ns/elem, {} ns/elem, bit_exact {bit_exact}, libm matches reference {libm_matches_reference}",
+        "  {name} over {n}: libm {:.2} ns/elem, {} ns/elem, bit_exact {bit_exact}, libm matches reference {libm_matches_reference}",
         per_elem(libm_ms),
         line.join(", ")
     );
-    TanhReport {
+    MathReport {
         elements: n,
         libm_ns_per_elem: per_elem(libm_ms),
         editions,
         bit_exact,
         libm_matches_reference,
     }
+}
+
+/// `tanh` over `n` inputs drawn from N(0, 3²).
+fn tanh_report(n: usize, reps: usize) -> MathReport {
+    let input = Tensor::randn(&[n], &mut rng(7)).scale(3.0).into_vec();
+    let bits = |v: f32| u64::from(v.to_bits());
+    math_report("tanh", &input, reps, math::tanh_inplace, f32::tanh, reference::tanhf, bits)
+}
+
+/// `exp` over `n` inputs uniform on [-40, 0].
+fn exp_report(n: usize, reps: usize) -> MathReport {
+    let mut r = rng(8);
+    let input: Vec<f64> = (0..n).map(|_| -40.0 * r.gen::<f64>()).collect();
+    math_report("exp", &input, reps, math::exp_inplace, f64::exp, reference::exp, f64::to_bits)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -481,8 +514,9 @@ fn main() {
 
     let simd = simd_report(512, if smoke { 3 } else { 5 });
     let tanh = tanh_report(1 << 20, if smoke { 3 } else { 9 });
+    let exp = exp_report(1 << 20, if smoke { 3 } else { 9 });
     let baseline =
-        Baseline { host_cpus, thread_counts: THREAD_COUNTS.to_vec(), simd, tanh, kernels };
+        Baseline { host_cpus, thread_counts: THREAD_COUNTS.to_vec(), simd, tanh, exp, kernels };
     let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
     std::fs::write(&out, &json).expect("write BENCH_kernels.json");
@@ -508,6 +542,7 @@ fn main() {
         }
         assert!(baseline.simd.paths_bit_exact, "micro-kernel editions disagree on matmul 512 bits");
         assert!(baseline.tanh.bit_exact, "a tanh edition diverged from reference::tanhf");
+        assert!(baseline.exp.bit_exact, "an exp edition diverged from reference::exp");
         if baseline.simd.active_path != "scalar" {
             assert!(
                 baseline.simd.speedup >= 2.0,

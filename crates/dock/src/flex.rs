@@ -10,7 +10,7 @@
 //! joint space.
 
 use crate::search::{DockConfig, Pose};
-use crate::vina::vina_score;
+use crate::vina::{VinaPocket, VinaScratch};
 use dfchem::geom::{Rotation, Vec3};
 use dfchem::mol::Molecule;
 use dfchem::pocket::BindingPocket;
@@ -126,6 +126,9 @@ pub fn dock_flexible(
     seed: u64,
 ) -> Vec<Pose> {
     let torsions = find_torsions(ligand);
+    let num_rotors = ligand.num_rotatable_bonds();
+    let scorer = VinaPocket::new(pocket);
+    let mut scratch = VinaScratch::default();
     let mut candidates: Vec<(Molecule, f64)> = Vec::with_capacity(cfg.mc_restarts);
     for chain in 0..cfg.mc_restarts {
         let mut r = rng(derive_seed(seed, 0xF1E ^ chain as u64));
@@ -136,7 +139,8 @@ pub fn dock_flexible(
             random_axis(&mut r),
             uniform(&mut r, 0.0, std::f64::consts::TAU),
         ));
-        let score_of = |m: &Molecule| vina_score(m, pocket).total + 0.3 * self_clash(m);
+        let mut score_of =
+            |m: &Molecule| scorer.score(m, num_rotors, &mut scratch).total + 0.3 * self_clash(m);
         let mut cur_score = score_of(&cur);
         let mut best = cur.clone();
         let mut best_score = cur_score;
@@ -173,7 +177,7 @@ pub fn dock_flexible(
             }
         }
         // Report the pure intermolecular score for comparability.
-        candidates.push((best.clone(), vina_score(&best, pocket).total));
+        candidates.push((best.clone(), scorer.score(&best, num_rotors, &mut scratch).total));
     }
 
     candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));

@@ -6,7 +6,7 @@
 //! poses across chains are deduplicated by RMSD and the top `num_poses`
 //! (≤ 10, as in ConveyorLC) are returned, ranked by score.
 
-use crate::vina::vina_score_with_rotors;
+use crate::vina::{VinaPocket, VinaScratch};
 use dfchem::geom::{Rotation, Vec3};
 use dfchem::mol::Molecule;
 use dfchem::pocket::BindingPocket;
@@ -61,9 +61,10 @@ pub fn dock(cfg: &DockConfig, ligand: &Molecule, pocket: &BindingPocket, seed: u
     // shared state, so the chains fan out over the current pool; collecting
     // by chain index keeps `candidates` bit-identical to the serial loop.
     let num_rotors = ligand.num_rotatable_bonds();
+    let scorer = VinaPocket::new(pocket);
     let candidates: Vec<(Molecule, f64)> =
         dfpool::current().parallel_map(cfg.mc_restarts, 1, |chain| {
-            run_chain(cfg, ligand, num_rotors, pocket, seed, chain)
+            run_chain(cfg, ligand, num_rotors, pocket, &scorer, seed, chain)
         });
     // Rank and deduplicate by RMSD.
     let mut candidates = candidates;
@@ -87,6 +88,7 @@ fn run_chain(
     ligand: &Molecule,
     num_rotors: usize,
     pocket: &BindingPocket,
+    scorer: &VinaPocket,
     seed: u64,
     chain: usize,
 ) -> (Molecule, f64) {
@@ -107,8 +109,9 @@ fn run_chain(
     );
     pose.translate(jitter);
 
+    let mut scratch = VinaScratch::default();
     let mut best = pose.clone();
-    let mut best_score = vina_score_with_rotors(&best, pocket, num_rotors).total;
+    let mut best_score = scorer.score(&best, num_rotors, &mut scratch).total;
     let mut cur = pose;
     let mut cur_score = best_score;
     for step in 0..cfg.mc_steps {
@@ -128,7 +131,7 @@ fn run_chain(
         if next.centroid().norm() > pocket.radius {
             continue;
         }
-        let next_score = vina_score_with_rotors(&next, pocket, num_rotors).total;
+        let next_score = scorer.score(&next, num_rotors, &mut scratch).total;
         let accept =
             next_score < cur_score || r.gen::<f64>() < ((cur_score - next_score) / t).exp();
         if accept {

@@ -128,7 +128,14 @@ thread_local! {
 /// The edition the next GEMM call on this thread will use: the
 /// [`with_forced`] override if one is installed, else [`detected`].
 pub fn resolve() -> Path {
-    sanitize(FORCED.with(|f| f.get()).unwrap_or_else(detected))
+    sanitize(forced().unwrap_or_else(detected))
+}
+
+/// The [`with_forced`] override on this thread, before clamping. `math`
+/// maps it onto its own slice bodies, which probe the host without the
+/// `simd` feature.
+pub(crate) fn forced() -> Option<Path> {
+    FORCED.with(|f| f.get())
 }
 
 /// Runs `f` with the micro-kernel edition pinned to `path` on this thread

@@ -18,9 +18,15 @@
 //! [`tanhf`] (with its `expm1f`) is the same kind of oracle for
 //! [`crate::math::tanh`]: a plain transliteration of fdlibm's `s_tanhf.c`
 //! and `s_expm1f.c`, branches and all, which the branch-free editions must
-//! match bit for bit. Its origin notice is kept in [`crate::math`].
+//! match bit for bit. [`exp`] is the oracle for [`crate::math::exp`]: glibc
+//! 2.36's `e_exp.c`, branches and all, with the multiply-adds its FMA build
+//! fuses written as `mul_add`. Their origin notices are kept in
+//! [`crate::math`].
 
-use crate::math::{INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5};
+use crate::math::{
+    C2, C3, C4, C5, EXP_TAB, INVLN2, INV_LN2_N, LN2_HI, LN2_LO, NEG_LN2_HI_N, NEG_LN2_LO_N, P1009,
+    PM1022, Q1, Q2, Q3, Q4, Q5, SHIFT,
+};
 use crate::tensor::Tensor;
 
 /// `[m,k] x [k,n] -> [m,n]`, triple loop, ascending-k accumulation.
@@ -354,4 +360,63 @@ pub fn tanhf(x: f32) -> f32 {
     } else {
         -z
     }
+}
+
+/// glibc 2.36 `exp` (`e_exp.c`) as its FMA build computes it, transliterated.
+pub fn exp(x: f64) -> f64 {
+    let mut abstop = (x.to_bits() >> 52) & 0x7ff;
+    if abstop.wrapping_sub(0x3c9) >= 0x408 - 0x3c9 {
+        if abstop < 0x3c9 {
+            // |x| < 2^-54.
+            return 1.0 + x;
+        }
+        if abstop >= 0x409 {
+            if x.to_bits() == f64::NEG_INFINITY.to_bits() {
+                return 0.0;
+            }
+            if abstop >= 0x7ff {
+                return 1.0 + x;
+            }
+            return if x.to_bits() >> 63 != 0 { 0.0 } else { f64::INFINITY };
+        }
+        // |x| in [512, 1024): handled by the special case below.
+        abstop = 0;
+    }
+    let kd = x.mul_add(INV_LN2_N, SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - SHIFT;
+    let r = kd.mul_add(NEG_LN2_LO_N, kd.mul_add(NEG_LN2_HI_N, x));
+    let idx = 2 * (ki % 128) as usize;
+    let top = ki << 45;
+    let tail = f64::from_bits(EXP_TAB[idx]);
+    let sbits = EXP_TAB[idx + 1].wrapping_add(top);
+    let r2 = r * r;
+    let tmp = (r2 * r2).mul_add(r.mul_add(C5, C4), r2.mul_add(r.mul_add(C3, C2), tail + r));
+    if abstop == 0 {
+        return exp_specialcase(tmp, sbits, ki);
+    }
+    let scale = f64::from_bits(sbits);
+    scale.mul_add(tmp, scale)
+}
+
+/// `e_exp.c`'s `specialcase`. gcc fuses `scale + scale * tmp` in the
+/// `k > 0` branch only: the `k < 0` branch reuses `scale * tmp`.
+fn exp_specialcase(tmp: f64, sbits: u64, ki: u64) -> f64 {
+    if ki & 0x8000_0000 == 0 {
+        let scale = f64::from_bits(sbits.wrapping_sub(1009 << 52));
+        return P1009 * scale.mul_add(tmp, scale);
+    }
+    let scale = f64::from_bits(sbits.wrapping_add(1022 << 52));
+    let st = scale * tmp;
+    let mut y = scale + st;
+    if y < 1.0 {
+        let lo = scale - y + st;
+        let hi = 1.0 + y;
+        let lo = 1.0 - hi + y + lo;
+        y = (hi + lo) - 1.0;
+        if y == 0.0 {
+            y = 0.0;
+        }
+    }
+    PM1022 * y
 }
